@@ -1,5 +1,6 @@
 // Shared plumbing for the per-figure benchmark binaries: the standard OoC
-// replay trace, a parallel sweep runner, and result formatting.
+// replay trace, a sweep runner (configs replay one after another), and
+// result formatting.
 //
 // Every binary follows the same pattern: register one google-benchmark
 // entry per configuration (so `--benchmark_filter` works and counters are

@@ -21,9 +21,9 @@
 namespace nvmooc {
 
 // One engine drives one modelled node end to end (device, links, FS);
-// nothing in it is shared with other engines, so sweep workers may run
-// engines concurrently today (see bench_common) and the parallel DES
-// will pin each engine to its node's shard group.
+// nothing in it is shared with other engines, so engines on different
+// threads could replay concurrently. The sweep runner (bench_common's
+// register_sweep) runs them one after another.
 class SIM_SHARD_DOMAIN("node") ReplayEngine {
  public:
   explicit ReplayEngine(const ExperimentConfig& config);

@@ -108,18 +108,19 @@ std::string Histogram::to_string() const {
 
 void BusyTracker::add_interval(Time start, Time end) {
   if (end <= start) return;
+  raw_time_ += end - start;
   // Fast path: back-to-back or overlapping appends extend the last
   // interval in place — the common case for a busy resource — keeping
   // memory proportional to the number of idle gaps, not reservations.
-  if (!dirty_ && !intervals_.empty() && start >= intervals_.back().first &&
+  // Extending the last entry is a union whether or not the list is
+  // sorted, so it also applies after an out-of-order insert.
+  if (!intervals_.empty() && start >= intervals_.back().first &&
       start <= intervals_.back().second) {
-    raw_time_ += end - start;
     intervals_.back().second = std::max(intervals_.back().second, end);
     return;
   }
+  if (!intervals_.empty() && start < intervals_.back().first) dirty_ = true;
   intervals_.emplace_back(start, end);
-  raw_time_ += end - start;
-  dirty_ = true;
   // Periodic compaction bounds memory on long replays.
   if (intervals_.size() >= compact_at_) {
     flatten();
@@ -149,34 +150,59 @@ Time BusyTracker::busy_time() const {
   return total;
 }
 
-void BusyTracker::merge(const BusyTracker& other) {
-  other.flatten();
-  for (const auto& [start, end] : other.intervals_) {
-    intervals_.emplace_back(start, end);
-    raw_time_ += end - start;
+Time union_busy_time(std::span<const BusyTracker* const> trackers) {
+  using Interval = std::pair<Time, Time>;
+  struct Cursor {
+    Time start;  ///< at->first, kept here so comparisons stay in the heap.
+    const Interval* at;
+    const Interval* end;
+  };
+  std::vector<Cursor> heap;
+  heap.reserve(trackers.size());
+  for (const BusyTracker* tracker : trackers) {
+    const BusyTracker::IntervalStore& list = tracker->intervals();
+    if (!list.empty()) heap.push_back({list.front().first, list.data(), list.data() + list.size()});
   }
-  dirty_ = true;
-}
-
-Time BusyTracker::intersect_time(const BusyTracker& other) const {
-  flatten();
-  other.flatten();
-  Time overlap;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < intervals_.size() && j < other.intervals_.size()) {
-    const auto& a = intervals_[i];
-    const auto& b = other.intervals_[j];
-    const Time lo = std::max(a.first, b.first);
-    const Time hi = std::min(a.second, b.second);
-    if (hi > lo) overlap += hi - lo;
-    if (a.second < b.second) {
-      ++i;
+  // Min-heap on each cursor's next start: intervals come out in start
+  // order, and overlapping or touching ones extend the current run.
+  const auto later = [](const Cursor& a, const Cursor& b) { return a.start > b.start; };
+  std::make_heap(heap.begin(), heap.end(), later);
+  Time total;
+  Time run_start;
+  Time run_end;
+  bool open = false;
+  while (!heap.empty()) {
+    Cursor& top = heap.front();
+    const auto [start, end] = *top.at;
+    if (open && start <= run_end) {
+      run_end = std::max(run_end, end);
     } else {
-      ++j;
+      if (open) total += run_end - run_start;
+      run_start = start;
+      run_end = end;
+      open = true;
     }
+    if (++top.at == top.end) {
+      std::pop_heap(heap.begin(), heap.end(), later);
+      heap.pop_back();
+      continue;
+    }
+    // The top advanced to a later start: sift it down.
+    top.start = top.at->first;
+    const Cursor moved = top;
+    std::size_t hole = 0;
+    for (;;) {
+      std::size_t child = 2 * hole + 1;
+      if (child >= heap.size()) break;
+      if (child + 1 < heap.size() && heap[child + 1].start < heap[child].start) ++child;
+      if (heap[child].start >= moved.start) break;
+      heap[hole] = heap[child];
+      hole = child;
+    }
+    heap[hole] = moved;
   }
-  return overlap;
+  if (open) total += run_end - run_start;
+  return total;
 }
 
 double BusyTracker::utilization(Time window) const {

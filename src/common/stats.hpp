@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -88,12 +89,6 @@ class BusyTracker {
 
   std::size_t interval_count() const { return intervals_.size(); }
 
-  /// Absorbs another tracker's intervals (exact union on read).
-  void merge(const BusyTracker& other);
-
-  /// Unioned busy time common to this tracker and `other` — the overlap.
-  [[nodiscard]] Time intersect_time(const BusyTracker& other) const;
-
   /// Busy intervals charge the host profiler's timeline memory tally:
   /// they are the dominant per-timeline storage on long replays.
   using IntervalStore =
@@ -112,11 +107,17 @@ class BusyTracker {
   void flatten() const;
 
   mutable IntervalStore intervals_;
+  /// Set when an interval lands before the last one, so the list is no
+  /// longer sorted; cleared by flatten().
   mutable bool dirty_ = false;
   /// Next size at which add_interval compacts; doubles when a compaction
   /// fails to shrink the set, keeping insertion amortised O(log n).
   mutable std::size_t compact_at_ = kCompactThreshold;
   Time raw_time_;
 };
+
+/// Busy time of the union of several trackers: one streaming k-way merge
+/// over their flattened lists, with no interval copied.
+[[nodiscard]] Time union_busy_time(std::span<const BusyTracker* const> trackers);
 
 }  // namespace nvmooc

@@ -1,6 +1,7 @@
 #include "nvm/die.hpp"
 
 #include <stdexcept>
+#include <vector>
 
 namespace nvmooc {
 
@@ -66,11 +67,12 @@ CellActivation Die::activate(std::uint32_t plane, NvmOp op, std::uint64_t block,
 }
 
 Time Die::busy_time() const {
-  // A die counts as busy when any of its planes is; merge the per-plane
-  // interval sets and take the exact union.
-  BusyTracker merged;
-  for (const Timeline& plane : planes_) merged.merge(plane.busy());
-  return merged.busy_time();
+  // A die counts as busy when any of its planes is: the exact union of
+  // the per-plane interval sets.
+  std::vector<const BusyTracker*> planes;
+  planes.reserve(planes_.size());
+  for (const Timeline& plane : planes_) planes.push_back(&plane.busy());
+  return union_busy_time(planes);
 }
 
 const BusyTracker& Die::plane_busy(std::uint32_t plane) const {

@@ -1,5 +1,7 @@
 #include "nvm/package.hpp"
 
+#include <vector>
+
 namespace nvmooc {
 
 Package::Package(const NvmTiming& timing, const BusConfig& bus, std::uint32_t dies,
@@ -28,14 +30,13 @@ Reservation Package::reserve_flash_bus(Time earliest, Bytes bytes) {
 }
 
 Time Package::busy_time() const {
-  BusyTracker merged;
-  merged.merge(flash_bus_.busy());
+  std::vector<const BusyTracker*> trackers{&flash_bus_.busy()};
   for (const auto& die : dies_) {
     for (std::uint32_t p = 0; p < die->plane_count(); ++p) {
-      merged.merge(die->plane_busy(p));
+      trackers.push_back(&die->plane_busy(p));
     }
   }
-  return merged.busy_time();
+  return union_busy_time(trackers);
 }
 
 void Package::reset() {

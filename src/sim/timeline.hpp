@@ -8,11 +8,11 @@
 // contention (queueing) time the caller attributes to this resource.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <vector>
 
-#include "common/alloc_counter.hpp"
 #include "common/shard_domain.hpp"
 #include "common/stats.hpp"
 #include "common/units.hpp"
@@ -31,10 +31,14 @@ struct Reservation {
 // embeds it (die plane, package port, channel bus, host link).
 class SIM_SHARD_DOMAIN("owner") Timeline {
  public:
-  /// When `backfill` is true the timeline keeps a bounded list of earlier
-  /// gaps and lets short transactions slot into them — this models
-  /// out-of-order dispatch at a channel (PAQ-style). When false it is a
-  /// strict next-free-time resource (FIFO occupancy).
+  /// When `backfill` is true the timeline keeps a list of earlier idle
+  /// gaps and grants each transaction the first gap, in list order, that
+  /// fits it — this models out-of-order dispatch at a channel (PAQ-style).
+  /// `max_gaps` is enforced only when a grant at the end opens a new gap
+  /// (the earliest gap is dropped); a backfilled grant splits its gap into
+  /// up to two pieces without eviction, so the list can outgrow
+  /// `max_gaps`. When false it is a strict next-free-time resource (FIFO
+  /// occupancy).
   explicit Timeline(bool backfill = false, std::size_t max_gaps = 64);
 
   /// Reserves `duration` starting at or after `earliest`.
@@ -47,6 +51,8 @@ class SIM_SHARD_DOMAIN("owner") Timeline {
   [[nodiscard]] Time next_free() const { return next_free_; }
   const BusyTracker& busy() const { return busy_; }
   std::uint64_t reservation_count() const { return reservation_count_; }
+  /// Idle gaps currently held for backfill.
+  [[nodiscard]] std::size_t gap_count() const;
 
   /// Names this resource for span tracing: when a label is set and a
   /// trace recorder is active (obs::tracer()), every reserve() emits its
@@ -59,27 +65,26 @@ class SIM_SHARD_DOMAIN("owner") Timeline {
   void reset();
 
   ~Timeline();
-  // A user-declared destructor (audit-state release) would suppress the
-  // implicit copy/move set; Timelines live in vectors, so keep them.
-  Timeline(const Timeline&) = default;
-  Timeline& operator=(const Timeline&) = default;
-  Timeline(Timeline&&) = default;
-  Timeline& operator=(Timeline&&) = default;
+  // The destructor releases audit state keyed by this address, and the
+  // gap list is owned through a pointer: Timelines move (they live in
+  // vectors) but do not copy.
+  Timeline(const Timeline&) = delete;
+  Timeline& operator=(const Timeline&) = delete;
+  Timeline(Timeline&&) noexcept;
+  Timeline& operator=(Timeline&&) noexcept;
 
  private:
-  struct Gap {
-    Time start;
-    Time end;
-  };
+  /// The backfill gaps in list order, with the index that finds the first
+  /// fit and the earliest gap (timeline.cpp). Allocated at the first gap,
+  /// so a timeline that never opens one costs a null pointer.
+  class GapList;
 
   void emit_span(const Reservation& grant, Time earliest, Time duration) const;
 
   bool backfill_;
   std::size_t max_gaps_;
   Time next_free_;
-  /// Gap bookkeeping charges the host profiler's timeline memory tally
-  /// (the busy intervals charge it via BusyTracker::IntervalStore).
-  std::vector<Gap, CountingAllocator<Gap, AllocDomain::kTimeline>> gaps_;
+  std::unique_ptr<GapList> gaps_;
   BusyTracker busy_;
   std::uint64_t reservation_count_ = 0;
   std::string trace_label_;

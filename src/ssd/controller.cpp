@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
 #include <string>
 
 #include "check/audit.hpp"
@@ -439,9 +438,10 @@ RequestResult Controller::submit(const BlockRequest& request, Time arrival) {
 
   // PAL classification state.
   std::uint64_t channel_mask = 0;
-  std::map<std::uint32_t, std::uint64_t> dies_per_channel;   // channel -> die mask
-  std::map<std::uint64_t, std::uint32_t> planes_per_die;     // die id -> plane mask
   const SsdGeometry& geometry = hardware_.geometry();
+  const std::uint32_t planes = hardware_.timing().planes_per_die;
+  dies_per_channel_.assign(geometry.channels, 0);
+  planes_per_die_.assign(geometry.total_dies(), 0);
 
   // Critical-path phase accounting: within one request, cell activations
   // on different planes run in parallel and transfers on different
@@ -450,17 +450,9 @@ RequestResult Controller::submit(const BlockRequest& request, Time arrival) {
   // raw resource time across hundreds of parallel transactions would
   // drown the breakdown in arithmetic parallelism (Figure 10 reports the
   // per-request experience).
-  struct PlaneLoad {
-    Time cell;
-    Time wait;
-  };
-  struct ChannelLoad {
-    Time active;  // command + data transfer
-    Time wait;
-  };
-  std::map<std::uint64_t, PlaneLoad> plane_load;    // (ch,pkg,die,plane)
-  std::map<std::uint32_t, ChannelLoad> channel_load;
-  std::map<std::uint64_t, Time> package_fb;         // (ch,pkg)
+  plane_load_.assign(static_cast<std::size_t>(geometry.total_dies()) * planes, PlaneLoad{});
+  channel_load_.assign(geometry.channels, ChannelLoad{});
+  package_fb_.assign(geometry.total_packages(), Time{});
 
   Time write_data_in_end;   // Last inbound transfer of this request.
   Time non_write_end;       // RMW reads / GC work that must land first.
@@ -533,18 +525,16 @@ RequestResult Controller::submit(const BlockRequest& request, Time arrival) {
       }
     }
 
-    const std::uint64_t plane_key =
-        (((static_cast<std::uint64_t>(txn.channel) << 8 | txn.package) << 8 | txn.die)
-         << 8) |
-        txn.plane;
-    PlaneLoad& plane = plane_load[plane_key];
+    const std::size_t package_index =
+        static_cast<std::size_t>(txn.channel) * geometry.packages_per_channel + txn.package;
+    const std::size_t die_index = package_index * geometry.dies_per_package + txn.die;
+    PlaneLoad& plane = plane_load_[die_index * planes + txn.plane];
     plane.cell += txn.cell;
     plane.wait += txn.cell_wait;
-    ChannelLoad& channel = channel_load[txn.channel];
+    ChannelLoad& channel = channel_load_[txn.channel];
     channel.active += txn.command + txn.channel_bus;
     channel.wait += txn.channel_wait;
-    package_fb[(static_cast<std::uint64_t>(txn.channel) << 8) | txn.package] +=
-        txn.flash_bus;
+    package_fb_[package_index] += txn.flash_bus;
 
     result.media_end = std::max(result.media_end, txn.complete);
     ++result.transactions;
@@ -552,10 +542,8 @@ RequestResult Controller::submit(const BlockRequest& request, Time arrival) {
     if (!count_pal) return;
     channel_mask |= 1ULL << (txn.channel % 64);
     const std::uint32_t die_in_channel = txn.package * geometry.dies_per_package + txn.die;
-    dies_per_channel[txn.channel] |= 1ULL << (die_in_channel % 64);
-    const std::uint64_t die_id =
-        (static_cast<std::uint64_t>(txn.channel) << 32) | die_in_channel;
-    planes_per_die[die_id] |= 1u << txn.plane;
+    dies_per_channel_[txn.channel] |= 1ULL << (die_in_channel % 64);
+    planes_per_die_[die_index] |= 1u << txn.plane;
   };
 
   for (const TxnSpec& spec : specs) {
@@ -574,18 +562,20 @@ RequestResult Controller::submit(const BlockRequest& request, Time arrival) {
   // are capped by the device wall so queueing behind *other* requests
   // (host-side pipelining) cannot inflate a single request's share.
   const Time device_wall = std::max(Time{}, result.media_end - arrival);
+  // Scanned in key order; an untouched (all-zero) entry never wins the
+  // strict comparisons, so ties resolve to the first touched entry.
   PlaneLoad worst_plane;
-  for (const auto& [key, load] : plane_load) {
+  for (const PlaneLoad& load : plane_load_) {
     if (load.cell + load.wait > worst_plane.cell + worst_plane.wait) worst_plane = load;
   }
   ChannelLoad worst_channel;
-  for (const auto& [key, load] : channel_load) {
+  for (const ChannelLoad& load : channel_load_) {
     if (load.active + load.wait > worst_channel.active + worst_channel.wait) {
       worst_channel = load;
     }
   }
   Time worst_fb;
-  for (const auto& [key, time] : package_fb) worst_fb = std::max(worst_fb, time);
+  for (const Time time : package_fb_) worst_fb = std::max(worst_fb, time);
 
   // Contention visible to one request is bounded by one service quantum
   // per resource chain (it queues behind at most a dispatch window of
@@ -618,12 +608,12 @@ RequestResult Controller::submit(const BlockRequest& request, Time arrival) {
 
   // Classify parallelism.
   bool die_interleaved = false;
-  for (const auto& [channel, mask] : dies_per_channel) {
+  for (const std::uint64_t mask : dies_per_channel_) {
     if (std::popcount(mask) > 1) die_interleaved = true;
   }
   bool multi_plane = false;
-  for (const auto& [die, mask] : planes_per_die) {
-    if (std::popcount(static_cast<std::uint64_t>(mask)) > 1) multi_plane = true;
+  for (const std::uint32_t mask : planes_per_die_) {
+    if (std::popcount(mask) > 1) multi_plane = true;
   }
   if (die_interleaved && multi_plane) {
     result.pal = ParallelismLevel::kPal4;

@@ -141,6 +141,16 @@ class SIM_SHARD_DOMAIN("node") Controller {
   /// Dirty bytes still being programmed at time `when`.
   [[nodiscard]] Bytes dirty_bytes_at(Time when);
 
+  /// One request's critical-path load on a plane and on a channel.
+  struct PlaneLoad {
+    Time cell;
+    Time wait;
+  };
+  struct ChannelLoad {
+    Time active;  // command + data transfer
+    Time wait;
+  };
+
   SsdHardware& hardware_;
   Ftl& ftl_;
   ControllerConfig config_;
@@ -149,6 +159,14 @@ class SIM_SHARD_DOMAIN("node") Controller {
   ControllerStats stats_;
   /// (program completion, bytes) of buffered writes still draining.
   std::vector<std::pair<Time, Bytes>> write_buffer_drain_;
+  /// Per-request scratch, indexed by geometry in (channel, package, die,
+  /// plane) order and cleared by every submit(): critical-path loads and
+  /// the PAL classification masks.
+  std::vector<PlaneLoad> plane_load_;
+  std::vector<ChannelLoad> channel_load_;
+  std::vector<Time> package_fb_;                   ///< (channel, package)
+  std::vector<std::uint64_t> dies_per_channel_;    ///< channel -> die mask
+  std::vector<std::uint32_t> planes_per_die_;      ///< (channel, die) -> plane mask
   /// Trace-only: per resource track, the end time of the last wait span
   /// assigned to each ".wait<k>" sub-track, so concurrent contention
   /// waits land on disjoint lanes (Perfetto renders same-track spans as

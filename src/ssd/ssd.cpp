@@ -1,6 +1,7 @@
 #include "ssd/ssd.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "obs/host_profiler.hpp"
 
@@ -61,23 +62,26 @@ WearSummary Ssd::wear() const {
   return total;
 }
 
-BusyTracker Ssd::media_busy() const {
-  BusyTracker merged;
-  for (std::uint32_t c = 0; c < config_.geometry.channels; ++c) {
-    merged.merge(hardware_->channel_bus(c).busy());
-    for (std::uint32_t p = 0; p < config_.geometry.packages_per_channel; ++p) {
-      const Package& package = hardware_->package(c, p);
-      merged.merge(package.flash_bus().busy());
-      for (std::uint32_t d = 0; d < package.die_count(); ++d) {
-        const Die& die = package.die(d);
-        for (std::uint32_t plane = 0; plane < die.plane_count(); ++plane) {
-          merged.merge(die.plane_busy(plane));
-        }
+namespace {
+
+/// Appends the busy trackers of channel `c`'s subsystem: its bus and
+/// every package's flash bus and die planes.
+void add_channel_trackers(const SsdHardware& hardware, std::uint32_t c,
+                          std::vector<const BusyTracker*>& trackers) {
+  trackers.push_back(&hardware.channel_bus(c).busy());
+  for (std::uint32_t p = 0; p < hardware.geometry().packages_per_channel; ++p) {
+    const Package& package = hardware.package(c, p);
+    trackers.push_back(&package.flash_bus().busy());
+    for (std::uint32_t d = 0; d < package.die_count(); ++d) {
+      const Die& die = package.die(d);
+      for (std::uint32_t plane = 0; plane < die.plane_count(); ++plane) {
+        trackers.push_back(&die.plane_busy(plane));
       }
     }
   }
-  return merged;
 }
+
+}  // namespace
 
 double Ssd::media_capability_bytes_per_sec() const {
   const double channel_aggregate =
@@ -91,8 +95,11 @@ DeviceStats Ssd::device_stats(Time wall_time) const {
   DeviceStats stats;
   stats.media_capability = media_capability_bytes_per_sec();
 
-  const BusyTracker merged = media_busy();
-  stats.active_time = merged.busy_time();
+  std::vector<const BusyTracker*> trackers;
+  for (std::uint32_t c = 0; c < config_.geometry.channels; ++c) {
+    add_channel_trackers(*hardware_, c, trackers);
+  }
+  stats.active_time = union_busy_time(trackers);
   if (stats.active_time <= Time{}) {
     stats.remaining_bandwidth = stats.media_capability;
     return stats;
@@ -109,19 +116,10 @@ DeviceStats Ssd::device_stats(Time wall_time) const {
   // holds only one active die.
   double channel_sum = 0.0;
   for (std::uint32_t c = 0; c < config_.geometry.channels; ++c) {
-    BusyTracker subsystem;
-    subsystem.merge(hardware_->channel_bus(c).busy());
-    for (std::uint32_t p = 0; p < config_.geometry.packages_per_channel; ++p) {
-      const Package& package = hardware_->package(c, p);
-      subsystem.merge(package.flash_bus().busy());
-      for (std::uint32_t d = 0; d < package.die_count(); ++d) {
-        const Die& die = package.die(d);
-        for (std::uint32_t plane = 0; plane < die.plane_count(); ++plane) {
-          subsystem.merge(die.plane_busy(plane));
-        }
-      }
-    }
-    channel_sum += subsystem.utilization(stats.active_time);
+    trackers.clear();
+    add_channel_trackers(*hardware_, c, trackers);
+    channel_sum += std::min(1.0, static_cast<double>(union_busy_time(trackers)) /
+                                     static_cast<double>(stats.active_time));
   }
   stats.channel_utilization = channel_sum / config_.geometry.channels;
 

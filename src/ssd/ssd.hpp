@@ -60,10 +60,6 @@ class SIM_SHARD_DOMAIN("node") Ssd {
   /// Aggregate wear across every die.
   WearSummary wear() const;
 
-  /// Busy-interval union across all internal resources. O(n log n) in
-  /// interval count — compute once when a replay is done.
-  BusyTracker media_busy() const;
-
   /// Derived per-figure statistics; `wall_time` is the replay makespan
   /// (first issue to last completion including host DMA).
   DeviceStats device_stats(Time wall_time) const;

@@ -2,6 +2,7 @@
 // thread pool, string and table utilities.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -253,9 +254,56 @@ TEST(BusyTracker, MergeAndIntersect) {
   a.add_interval(Time{20}, Time{30});
   BusyTracker b;
   b.add_interval(Time{5}, Time{25});
-  EXPECT_EQ(a.intersect_time(b), Time{10});  // [5,10) + [20,25).
-  a.merge(b);
-  EXPECT_EQ(a.busy_time(), Time{30});  // [0,30).
+  const BusyTracker* both[] = {&a, &b};
+  const Time merged = union_busy_time(both);
+  EXPECT_EQ(merged, Time{30});  // [0,30).
+  // The overlap by inclusion-exclusion: [5,10) + [20,25).
+  EXPECT_EQ(a.busy_time() + b.busy_time() - merged, Time{10});
+  EXPECT_EQ(union_busy_time({}), Time{0});
+}
+
+// Property: an insert that lands before the last interval must not stop
+// later back-to-back inserts from extending the last entry in place.
+TEST(BusyTracker, CoalescesAfterOutOfOrderInsert) {
+  BusyTracker t;
+  t.add_interval(Time{100}, Time{110});
+  t.add_interval(Time{0}, Time{10});  // Out of order.
+  for (std::int64_t i = 1; i <= 1000; ++i) {
+    t.add_interval(Time{i * 10}, Time{i * 10 + 10});  // Touches the last.
+  }
+  EXPECT_EQ(t.interval_count(), 2u);
+  EXPECT_EQ(t.raw_time(), Time{10 + 10 + 1000 * 10});
+  EXPECT_EQ(t.busy_time(), Time{10010});  // [0, 10010) covers [100, 110).
+  EXPECT_EQ(t.interval_count(), 1u);
+}
+
+// Property: the streaming k-way union equals merging every tracker's
+// intervals into one and flattening it, on random interval sets with
+// random overlaps, touches, out-of-order inserts and empty trackers.
+TEST(BusyTracker, PropertyUnionMatchesMergeThenFlatten) {
+  Rng rng(20261018);
+  for (int round = 0; round < 200; ++round) {
+    const std::size_t count = rng.next_below(12);
+    std::vector<BusyTracker> trackers(count);
+    BusyTracker merged;
+    for (BusyTracker& tracker : trackers) {
+      const std::uint64_t intervals = rng.next_below(40);
+      std::int64_t cursor = 0;
+      for (std::uint64_t i = 0; i < intervals; ++i) {
+        // Mostly forward with gaps or overlaps, sometimes far back.
+        std::int64_t start = cursor + static_cast<std::int64_t>(rng.next_below(30)) - 10;
+        if (rng.next_below(8) == 0) start = static_cast<std::int64_t>(rng.next_below(500));
+        start = std::max<std::int64_t>(start, 0);
+        const std::int64_t end = start + static_cast<std::int64_t>(rng.next_below(25));
+        tracker.add_interval(Time{start}, Time{end});
+        merged.add_interval(Time{start}, Time{end});
+        cursor = std::max(cursor, end);
+      }
+    }
+    std::vector<const BusyTracker*> views;
+    for (const BusyTracker& tracker : trackers) views.push_back(&tracker);
+    ASSERT_EQ(union_busy_time(views), merged.busy_time()) << "round " << round;
+  }
 }
 
 TEST(BusyTracker, IgnoresEmptyIntervals) {

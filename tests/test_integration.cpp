@@ -4,6 +4,9 @@
 // (not synthesized) traces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "cluster/configs.hpp"
 #include "cluster/engine.hpp"
 #include "fs/presets.hpp"
@@ -169,6 +172,49 @@ TEST(Integration, PreloadThenIterateEndToEnd) {
   EXPECT_GT(result.achieved_mbps, 0.0);
   EXPECT_EQ(engine.ssd().ftl_stats().writes, 0u);  // Read-only replay.
   EXPECT_GT(result.pal_fraction[3], 0.5);
+}
+
+// A backfill-heavy replay pinned to its exact outputs: seeded random
+// 4-64 KiB reads and 30% writes on 512 B sectors over 1 GiB, on
+// CNL-EXT4/MLC. Backfilled grants split channel gaps, and that split path
+// does not enforce the timeline's max_gaps (64), so the gap lists grow far
+// past it; the pins hold the reservation path to the grants it made when
+// every scan was a linear walk of the list.
+TEST(Integration, BackfillHeavyRandomReplayIsPinned) {
+  std::uint64_t state = 7;
+  const auto next = [&state] {
+    state += 0x9e3779b97f4a7c15ULL;
+    std::uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  };
+  constexpr std::uint64_t kSector = 512;
+  constexpr std::uint64_t kExtent = 1ULL << 30;
+  constexpr std::uint64_t kSizes = ((64 << 10) - (4 << 10)) / kSector + 1;
+  Trace trace;
+  for (int i = 0; i < 3000; ++i) {
+    const bool write = next() % 10 < 3;
+    const std::uint64_t size = (4 << 10) + next() % kSizes * kSector;
+    const std::uint64_t offset = next() % ((kExtent - size) / kSector + 1) * kSector;
+    trace.add(write ? NvmOp::kWrite : NvmOp::kRead, Bytes{offset}, Bytes{size});
+  }
+
+  ReplayEngine engine(cnl_fs_config(ext4_behavior(), NvmType::kMlc));
+  const ExperimentResult result = engine.run(trace);
+
+  std::size_t most_gaps = 0;
+  const SsdHardware& hardware = engine.ssd().hardware();
+  for (std::uint32_t c = 0; c < hardware.geometry().channels; ++c) {
+    most_gaps = std::max(most_gaps, hardware.channel_bus(c).gap_count());
+  }
+  EXPECT_GT(most_gaps, 64u);
+
+  // Recorded with the linear-scan gap search.
+  EXPECT_EQ(result.makespan.ps(), 315942923593);
+  EXPECT_EQ(result.transactions, 29524u);
+  EXPECT_EQ(result.channel_utilization, 0.99188627367208726);
+  EXPECT_EQ(result.package_utilization, 0.26087661090315695);
 }
 
 }  // namespace

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "common/stats.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timeline.hpp"
@@ -281,6 +283,141 @@ TEST(Timeline, PropertyGrantedIntervalsHoldInvariants) {
     }
     EXPECT_EQ(timeline.reservation_count(), 2000u);
   }
+}
+
+// The reservation rule Timeline implements, as a plain linear first-fit
+// over a gap vector: the first gap in list order that fits wins; a
+// backfilled grant erases its gap and appends up to two pieces; a grant
+// at the end that opens a gap appends it and, past max_gaps, drops the
+// gap with the earliest start.
+class ReferenceTimeline {
+ public:
+  ReferenceTimeline(bool backfill, std::size_t max_gaps)
+      : backfill_(backfill), max_gaps_(max_gaps) {}
+
+  Reservation reserve(Time earliest, Time duration) {
+    Reservation grant;
+    if (duration <= Time{}) {
+      grant.start = std::max(earliest, Time{0});
+      grant.end = grant.start;
+      return grant;
+    }
+    for (std::size_t i = 0; backfill_ && i < gaps_.size(); ++i) {
+      const Time start = std::max(gaps_[i].first, earliest);
+      if (start + duration > gaps_[i].second) continue;
+      grant.start = start;
+      grant.end = start + duration;
+      grant.waited = start - earliest;
+      busy_.add_interval(grant.start, grant.end);
+      const std::pair<Time, Time> old = gaps_[i];
+      gaps_.erase(gaps_.begin() + static_cast<std::ptrdiff_t>(i));
+      if (old.first < grant.start) gaps_.emplace_back(old.first, grant.start);
+      if (grant.end < old.second) gaps_.emplace_back(grant.end, old.second);
+      return grant;
+    }
+    grant.start = std::max(earliest, next_free_);
+    grant.end = grant.start + duration;
+    grant.waited = grant.start - earliest;
+    busy_.add_interval(grant.start, grant.end);
+    if (backfill_ && grant.start > next_free_) {
+      gaps_.emplace_back(next_free_, grant.start);
+      if (gaps_.size() > max_gaps_) {
+        gaps_.erase(std::min_element(gaps_.begin(), gaps_.end(),
+                                     [](const auto& a, const auto& b) {
+                                       return a.first < b.first;
+                                     }));
+      }
+    }
+    next_free_ = std::max(next_free_, grant.end);
+    return grant;
+  }
+
+  Time peek(Time earliest, Time duration) const {
+    if (duration <= Time{}) return std::max(earliest, Time{0});
+    Time best = std::max(earliest, next_free_);
+    for (std::size_t i = 0; backfill_ && i < gaps_.size(); ++i) {
+      const Time start = std::max(gaps_[i].first, earliest);
+      if (start + duration <= gaps_[i].second) best = std::min(best, start);
+    }
+    return best;
+  }
+
+  Time next_free() const { return next_free_; }
+  const BusyTracker& busy() const { return busy_; }
+  std::size_t gap_count() const { return gaps_.size(); }
+
+ private:
+  bool backfill_;
+  std::size_t max_gaps_;
+  Time next_free_;
+  std::vector<std::pair<Time, Time>> gaps_;
+  BusyTracker busy_;
+};
+
+// Property: Timeline's indexed gap search grants exactly what the linear
+// first-fit grants, over seeded random streams in FIFO and backfill mode
+// and several gap caps. Late arrivals and short requests split gaps, which
+// drives the gap list far past max_gaps; long jumps open fresh gaps and
+// evict. Every grant, peek, next_free, gap count and the busy total must
+// agree.
+TEST(Timeline, PropertyIndexedSearchMatchesLinearFirstFit) {
+  std::size_t most_gaps = 0;
+  for (const bool backfill : {false, true}) {
+    for (const std::size_t max_gaps : {std::size_t{0}, std::size_t{1}, std::size_t{8},
+                                       std::size_t{64}}) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        Timeline timeline(backfill, max_gaps);
+        ReferenceTimeline reference(backfill, max_gaps);
+        std::uint64_t state = seed * 0x2545f4914f6cdd1dULL;
+        const auto next = [&state] {
+          state += 0x9e3779b97f4a7c15ULL;
+          std::uint64_t z = state;
+          z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+          z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+          return z ^ (z >> 31);
+        };
+        Time clock;
+        std::pair<Time, Time> opened;
+        for (int i = 0; i < 5000; ++i) {
+          const std::uint64_t kind = next() % 16;
+          Time earliest = clock;
+          Time duration{static_cast<std::int64_t>(
+              kind == 15 ? next() % 300 : next() % 12)};  // Includes 0.
+          if (kind < 11) {
+            // A late arrival in the recent past: a backfill candidate.
+            earliest = std::max(Time{0}, clock - Time{static_cast<std::int64_t>(next() % 3000)});
+          } else if (kind < 12) {
+            // A jump past the end: opens a gap.
+            clock += Time{static_cast<std::int64_t>(500 + next() % 4000)};
+            earliest = clock;
+            opened = {reference.next_free(), earliest};
+          } else if (kind < 13) {
+            // Exactly the last gap a jump opened, if it is still whole:
+            // the fit and the bounds must admit equality.
+            earliest = opened.first;
+            duration = opened.second - opened.first;
+          } else {
+            clock += Time{static_cast<std::int64_t>(next() % 20)};
+            earliest = clock;
+          }
+          ASSERT_EQ(timeline.peek(earliest, duration), reference.peek(earliest, duration))
+              << "seed " << seed << " step " << i;
+          const Reservation got = timeline.reserve(earliest, duration);
+          const Reservation want = reference.reserve(earliest, duration);
+          ASSERT_EQ(got.start, want.start) << "seed " << seed << " step " << i;
+          ASSERT_EQ(got.end, want.end);
+          ASSERT_EQ(got.waited, want.waited);
+          ASSERT_EQ(timeline.next_free(), reference.next_free());
+          ASSERT_EQ(timeline.gap_count(), reference.gap_count());
+          most_gaps = std::max(most_gaps, timeline.gap_count());
+        }
+        EXPECT_EQ(timeline.busy().busy_time(), reference.busy().busy_time());
+        EXPECT_EQ(timeline.busy().raw_time(), reference.busy().raw_time());
+      }
+    }
+  }
+  // The split path kept gaps without eviction, far past the largest cap.
+  EXPECT_GT(most_gaps, std::size_t{8 * 64});
 }
 
 }  // namespace
