@@ -4,8 +4,11 @@
 // Run: ./build/examples/trace_replay --config=cnl-ufs --media=tlc
 //        [--trace=FILE | --pattern=seq|rand|strided] [--size-mib=256]
 //        [--faults=SCENARIO] [--audit]
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <fstream>
 #include <string>
 
@@ -80,6 +83,25 @@ bool flag(int argc, char** argv, const char* key) {
   return false;
 }
 
+/// Parses --`key` (default `fallback`) as a positive count of `unit`
+/// bytes. On 0, non-numeric text or a byte count past 2^64 prints an
+/// error naming the flag and returns false.
+bool byte_option(int argc, char** argv, const char* key, const char* fallback, Bytes unit,
+                 Bytes& out) {
+  const std::string text = option(argc, argv, key, fallback);
+  std::uint64_t count = 0;
+  const char* end = text.data() + text.size();
+  const auto [at, error] = std::from_chars(text.data(), end, count);
+  if (error != std::errc{} || at != end || count == 0 ||
+      count > std::numeric_limits<std::uint64_t>::max() / unit.value()) {
+    std::fprintf(stderr, "--%s: expected a positive integer (bytes must fit 64 bits), got '%s'\n",
+                 key, text.c_str());
+    return false;
+  }
+  out = count * unit;
+  return true;
+}
+
 bool find_config(const std::string& name, NvmType media, ExperimentConfig& out) {
   for (const ExperimentConfig& config : all_configs(media)) {
     std::string lowered = config.name;
@@ -99,9 +121,12 @@ int main(int argc, char** argv) {
   const std::string media_name = option(argc, argv, "media", "tlc");
   const std::string trace_path = option(argc, argv, "trace", "");
   const std::string pattern = option(argc, argv, "pattern", "seq");
-  const Bytes size = std::strtoull(option(argc, argv, "size-mib", "256").c_str(), nullptr, 10) * MiB;
-  const Bytes request =
-      std::strtoull(option(argc, argv, "request-kib", "8192").c_str(), nullptr, 10) * KiB;
+  Bytes size;
+  Bytes request;
+  if (!byte_option(argc, argv, "size-mib", "256", MiB, size) ||
+      !byte_option(argc, argv, "request-kib", "8192", KiB, request)) {
+    return 1;
+  }
 
   NvmType media;
   if (media_name == "slc") media = NvmType::kSlc;
@@ -156,7 +181,12 @@ int main(int argc, char** argv) {
 
   Trace trace;
   if (!trace_path.empty()) {
-    trace = Trace::load(trace_path);
+    try {
+      trace = Trace::load(trace_path);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "bad trace: %s\n", e.what());
+      return 1;
+    }
   } else if (pattern == "seq") {
     trace = sequential_read_trace(size, request);
   } else if (pattern == "rand") {

@@ -260,6 +260,10 @@ ExperimentResult ReplayEngine::run(const Trace& trace) {
         aud->request_admitted(audit_id, admit);
         aud->request_dispatched(audit_id, issue);
       }
+      // `issue` never decreases and every arrival below is at or after
+      // it, so no later grant starts before it: busy time behind it is
+      // final (docs/MODEL.md §1).
+      ssd_->settle_before(issue);
 
       Time completion;
       Time media_done;

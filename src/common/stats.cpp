@@ -110,10 +110,10 @@ void BusyTracker::add_interval(Time start, Time end) {
   if (end <= start) return;
   raw_time_ += end - start;
   // Fast path: back-to-back or overlapping appends extend the last
-  // interval in place — the common case for a busy resource — keeping
-  // memory proportional to the number of idle gaps, not reservations.
-  // Extending the last entry is a union whether or not the list is
-  // sorted, so it also applies after an out-of-order insert.
+  // interval in place — the common case for a busy resource, so runs of
+  // touching grants cost one entry. Extending the last entry is a union
+  // whether or not the list is sorted, so it also applies after an
+  // out-of-order insert.
   if (!intervals_.empty() && start >= intervals_.back().first &&
       start <= intervals_.back().second) {
     intervals_.back().second = std::max(intervals_.back().second, end);
@@ -121,11 +121,27 @@ void BusyTracker::add_interval(Time start, Time end) {
   }
   if (!intervals_.empty() && start < intervals_.back().first) dirty_ = true;
   intervals_.emplace_back(start, end);
-  // Periodic compaction bounds memory on long replays.
+  // Periodic flattening merges the overlaps that out-of-order inserts
+  // leave behind. It does not bound memory: disjoint intervals stay
+  // until settle_before() folds them.
   if (intervals_.size() >= compact_at_) {
     flatten();
     compact_at_ = std::max(kCompactThreshold, intervals_.size() * 2);
   }
+}
+
+void BusyTracker::settle_before(Time horizon) {
+  flatten();
+  auto held = intervals_.begin();
+  for (; held != intervals_.end() && held->first < horizon; ++held) {
+    if (held->second > horizon) {
+      settled_ += horizon - held->first;
+      held->first = horizon;
+      break;
+    }
+    settled_ += held->second - held->first;
+  }
+  intervals_.erase(intervals_.begin(), held);
 }
 
 void BusyTracker::flatten() const {
@@ -145,63 +161,50 @@ void BusyTracker::flatten() const {
 
 Time BusyTracker::busy_time() const {
   flatten();
-  Time total;
+  Time total = settled_;
   for (const auto& [start, end] : intervals_) total += end - start;
   return total;
 }
 
-Time union_busy_time(std::span<const BusyTracker* const> trackers) {
-  using Interval = std::pair<Time, Time>;
+Time union_runs(std::span<const std::span<const BusyInterval>> inputs, Time horizon,
+                std::vector<BusyInterval>& out) {
+  out.clear();
+  // Lists with an interval left before the horizon. The inputs are few
+  // (the planes of a die, the dies and port of a package, ...), so a
+  // linear scan for the earliest start beats a heap.
   struct Cursor {
-    Time start;  ///< at->first, kept here so comparisons stay in the heap.
-    const Interval* at;
-    const Interval* end;
+    const BusyInterval* at;
+    const BusyInterval* end;
   };
-  std::vector<Cursor> heap;
-  heap.reserve(trackers.size());
-  for (const BusyTracker* tracker : trackers) {
-    const BusyTracker::IntervalStore& list = tracker->intervals();
-    if (!list.empty()) heap.push_back({list.front().first, list.data(), list.data() + list.size()});
+  std::vector<Cursor> live;
+  live.reserve(inputs.size());
+  for (std::span<const BusyInterval> list : inputs) {
+    if (!list.empty() && list.front().first < horizon) {
+      live.push_back({list.data(), list.data() + list.size()});
+    }
   }
-  // Min-heap on each cursor's next start: intervals come out in start
-  // order, and overlapping or touching ones extend the current run.
-  const auto later = [](const Cursor& a, const Cursor& b) { return a.start > b.start; };
-  std::make_heap(heap.begin(), heap.end(), later);
   Time total;
-  Time run_start;
-  Time run_end;
-  bool open = false;
-  while (!heap.empty()) {
-    Cursor& top = heap.front();
-    const auto [start, end] = *top.at;
-    if (open && start <= run_end) {
-      run_end = std::max(run_end, end);
+  while (!live.empty()) {
+    std::size_t next = 0;
+    for (std::size_t i = 1; i < live.size(); ++i) {
+      if (live[i].at->first < live[next].at->first) next = i;
+    }
+    const Time start = live[next].at->first;
+    const Time end = std::min(live[next].at->second, horizon);
+    if (!out.empty() && start <= out.back().second) {
+      if (end > out.back().second) {
+        total += end - out.back().second;
+        out.back().second = end;
+      }
     } else {
-      if (open) total += run_end - run_start;
-      run_start = start;
-      run_end = end;
-      open = true;
+      total += end - start;
+      out.emplace_back(start, end);
     }
-    if (++top.at == top.end) {
-      std::pop_heap(heap.begin(), heap.end(), later);
-      heap.pop_back();
-      continue;
+    if (++live[next].at == live[next].end || live[next].at->first >= horizon) {
+      live[next] = live.back();
+      live.pop_back();
     }
-    // The top advanced to a later start: sift it down.
-    top.start = top.at->first;
-    const Cursor moved = top;
-    std::size_t hole = 0;
-    for (;;) {
-      std::size_t child = 2 * hole + 1;
-      if (child >= heap.size()) break;
-      if (child + 1 < heap.size() && heap[child + 1].start < heap[child].start) ++child;
-      if (heap[child].start >= moved.start) break;
-      heap[hole] = heap[child];
-      hole = child;
-    }
-    heap[hole] = moved;
   }
-  if (open) total += run_end - run_start;
   return total;
 }
 

@@ -69,15 +69,30 @@ class Histogram {
   std::uint64_t total_ = 0;
 };
 
+/// One busy interval, [first, second).
+using BusyInterval = std::pair<Time, Time>;
+
 /// Accumulates busy time on a resource from possibly-overlapping intervals
 /// and reports utilisation over a window. Intervals may arrive out of
 /// order; overlapping busy spans are unioned, which is exactly what
 /// "channel was busy" means when multiple transactions pipeline on it.
+///
+/// Memory grows with every interval that does not touch the last one
+/// (on PCM nearly one per cell activation). A caller that knows no
+/// later interval can start before some time calls settle_before() to
+/// fold the intervals behind it into a running total and free them.
 class BusyTracker {
  public:
   void add_interval(Time start, Time end);
 
-  /// Total unioned busy time. Flattens lazily; amortised O(n log n).
+  /// Folds the busy time before `horizon` into the settled total and
+  /// frees those intervals; an interval that straddles the horizon keeps
+  /// only its part at or after it. The caller guarantees no later
+  /// interval starts before `horizon`. busy_time() is unchanged.
+  void settle_before(Time horizon);
+
+  /// Total unioned busy time, settled plus held. Flattens lazily;
+  /// amortised O(n log n).
   [[nodiscard]] Time busy_time() const;
 
   /// busy_time() / window, clamped to [0, 1]. window <= 0 yields 0.
@@ -87,15 +102,15 @@ class BusyTracker {
   /// measuring demanded service time vs wall occupancy.
   [[nodiscard]] Time raw_time() const { return raw_time_; }
 
+  /// Intervals still held (not yet settled).
   std::size_t interval_count() const { return intervals_.size(); }
 
   /// Busy intervals charge the host profiler's timeline memory tally:
   /// they are the dominant per-timeline storage on long replays.
   using IntervalStore =
-      std::vector<std::pair<Time, Time>,
-                  CountingAllocator<std::pair<Time, Time>, AllocDomain::kTimeline>>;
+      std::vector<BusyInterval, CountingAllocator<BusyInterval, AllocDomain::kTimeline>>;
 
-  /// Flattened (sorted, disjoint) interval list.
+  /// Flattened (sorted, disjoint) list of the intervals still held.
   const IntervalStore& intervals() const {
     flatten();
     return intervals_;
@@ -110,14 +125,19 @@ class BusyTracker {
   /// Set when an interval lands before the last one, so the list is no
   /// longer sorted; cleared by flatten().
   mutable bool dirty_ = false;
-  /// Next size at which add_interval compacts; doubles when a compaction
-  /// fails to shrink the set, keeping insertion amortised O(log n).
+  /// Next size at which add_interval flattens an unsorted list; doubles
+  /// when flattening fails to shrink it, keeping insertion amortised
+  /// O(log n).
   mutable std::size_t compact_at_ = kCompactThreshold;
   Time raw_time_;
+  /// Busy time folded by settle_before().
+  Time settled_;
 };
 
-/// Busy time of the union of several trackers: one streaming k-way merge
-/// over their flattened lists, with no interval copied.
-[[nodiscard]] Time union_busy_time(std::span<const BusyTracker* const> trackers);
+/// Unions the sorted, disjoint lists `inputs`, clipped to before
+/// `horizon`, into `out` (sorted, coalesced) and returns its busy time.
+/// Intervals that merely touch are coalesced.
+[[nodiscard]] Time union_runs(std::span<const std::span<const BusyInterval>> inputs,
+                              Time horizon, std::vector<BusyInterval>& out);
 
 }  // namespace nvmooc

@@ -66,17 +66,12 @@ CellActivation Die::activate(std::uint32_t plane, NvmOp op, std::uint64_t block,
   return activation;
 }
 
-Time Die::busy_time() const {
-  // A die counts as busy when any of its planes is: the exact union of
-  // the per-plane interval sets.
-  std::vector<const BusyTracker*> planes;
-  planes.reserve(planes_.size());
-  for (const Timeline& plane : planes_) planes.push_back(&plane.busy());
-  return union_busy_time(planes);
-}
-
 const BusyTracker& Die::plane_busy(std::uint32_t plane) const {
   return planes_.at(plane).busy();
+}
+
+void Die::settle_busy_before(Time horizon) {
+  for (Timeline& plane : planes_) plane.settle_busy_before(horizon);
 }
 
 void Die::reset() {

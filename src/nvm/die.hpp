@@ -57,9 +57,9 @@ class SIM_SHARD_DOMAIN("die") Die {
   void set_shard_ref(const shard::ShardRef& ref) { shard_ref_ = ref; }
   const shard::ShardRef& shard_ref() const { return shard_ref_; }
 
-  /// Busy time union over all planes — "the die was doing cell work".
-  [[nodiscard]] Time busy_time() const;
   const BusyTracker& plane_busy(std::uint32_t plane) const;
+  /// Settles every plane's busy intervals before `horizon`.
+  void settle_busy_before(Time horizon);
   const WearTracker& wear() const { return wear_; }
 
   void reset();

@@ -29,14 +29,9 @@ Reservation Package::reserve_flash_bus(Time earliest, Bytes bytes) {
   return flash_bus_.reserve(earliest, bus_.transfer_time(bytes));
 }
 
-Time Package::busy_time() const {
-  std::vector<const BusyTracker*> trackers{&flash_bus_.busy()};
-  for (const auto& die : dies_) {
-    for (std::uint32_t p = 0; p < die->plane_count(); ++p) {
-      trackers.push_back(&die->plane_busy(p));
-    }
-  }
-  return union_busy_time(trackers);
+void Package::settle_busy_before(Time horizon) {
+  flash_bus_.settle_busy_before(horizon);
+  for (auto& die : dies_) die->settle_busy_before(horizon);
 }
 
 void Package::reset() {

@@ -38,11 +38,9 @@ class SIM_SHARD_DOMAIN("package") Package {
 
   [[nodiscard]] Time flash_bus_time(Bytes bytes) const { return bus_.transfer_time(bytes); }
 
-  /// Busy when any die is doing cell work or the port is transferring —
-  /// the paper's package-level utilisation numerator.
-  [[nodiscard]] Time busy_time() const;
-
   const Timeline& flash_bus() const { return flash_bus_; }
+  /// Settles the port's and every die's busy intervals before `horizon`.
+  void settle_busy_before(Time horizon);
   const BusConfig& bus() const { return bus_; }
 
   /// Installs this package's position in the containment tree for the

@@ -50,6 +50,9 @@ class SIM_SHARD_DOMAIN("owner") Timeline {
 
   [[nodiscard]] Time next_free() const { return next_free_; }
   const BusyTracker& busy() const { return busy_; }
+  /// Folds busy time before `horizon` into the tracker's settled total
+  /// (BusyTracker::settle_before); no later grant may start before it.
+  void settle_busy_before(Time horizon) { busy_.settle_before(horizon); }
   std::uint64_t reservation_count() const { return reservation_count_; }
   /// Idle gaps currently held for backfill.
   [[nodiscard]] std::size_t gap_count() const;

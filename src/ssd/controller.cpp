@@ -122,6 +122,13 @@ SsdHardware::SsdHardware(const SsdGeometry& geometry, const NvmTiming& timing,
   }
 }
 
+void SsdHardware::settle_busy_before(Time horizon) {
+  for (const std::unique_ptr<Channel>& channel : channels_) {
+    channel->bus.settle_busy_before(horizon);
+    for (Package& package : channel->packages) package.settle_busy_before(horizon);
+  }
+}
+
 Controller::Controller(SsdHardware& hardware, Ftl& ftl, ControllerConfig config,
                        FaultInjector* injector)
     : hardware_(hardware), ftl_(ftl), config_(config), ecc_(config.ecc),

@@ -49,6 +49,9 @@ class SIM_SHARD_DOMAIN("node") SsdHardware {
   }
   const Timeline& channel_bus(std::uint32_t channel) const { return channels_[channel]->bus; }
 
+  /// Settles every bus's and plane's busy intervals before `horizon`.
+  void settle_busy_before(Time horizon);
+
   const SsdGeometry& geometry() const { return geometry_; }
   const NvmTiming& timing() const { return timing_; }
   const BusConfig& bus() const { return bus_; }

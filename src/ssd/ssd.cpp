@@ -1,14 +1,56 @@
 #include "ssd/ssd.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "obs/host_profiler.hpp"
 
 namespace nvmooc {
 
+BusyCensus::BusyCensus(const SsdGeometry& geometry)
+    : geometry_(geometry),
+      die_(geometry.total_dies()),
+      package_(geometry.total_packages()),
+      channel_(geometry.channels),
+      die_runs_(geometry.dies_per_package),
+      package_runs_(geometry.packages_per_channel),
+      channel_runs_(geometry.channels) {}
+
+void BusyCensus::add(const SsdHardware& hardware, Time horizon) {
+  const auto spans_of = [this](const std::vector<std::vector<BusyInterval>>& runs) {
+    for (const std::vector<BusyInterval>& run : runs) inputs_.emplace_back(run);
+  };
+  for (std::uint32_t c = 0; c < geometry_.channels; ++c) {
+    for (std::uint32_t p = 0; p < geometry_.packages_per_channel; ++p) {
+      const Package& package = hardware.package(c, p);
+      for (std::uint32_t d = 0; d < package.die_count(); ++d) {
+        const Die& die = package.die(d);
+        inputs_.clear();
+        for (std::uint32_t plane = 0; plane < die.plane_count(); ++plane) {
+          inputs_.emplace_back(die.plane_busy(plane).intervals());
+        }
+        die_[package_index(c, p) * geometry_.dies_per_package + d] +=
+            union_runs(inputs_, horizon, die_runs_[d]);
+      }
+      inputs_.clear();
+      inputs_.emplace_back(package.flash_bus().busy().intervals());
+      spans_of(die_runs_);
+      package_[package_index(c, p)] += union_runs(inputs_, horizon, package_runs_[p]);
+    }
+    inputs_.clear();
+    inputs_.emplace_back(hardware.channel_bus(c).busy().intervals());
+    spans_of(package_runs_);
+    channel_[c] += union_runs(inputs_, horizon, channel_runs_[c]);
+  }
+  inputs_.clear();
+  spans_of(channel_runs_);
+  device_ += union_runs(inputs_, horizon, device_runs_);
+}
+
 Ssd::Ssd(const SsdConfig& config)
-    : config_(config), timing_(timing_for(config.media)) {
+    : config_(config), timing_(timing_for(config.media)), settled_(config.geometry) {
   hardware_ = std::make_unique<SsdHardware>(config_.geometry, timing_, config_.bus,
                                             config_.controller.queue_backfill);
   ftl_ = std::make_unique<Ftl>(config_.geometry, timing_, config_.ftl);
@@ -23,11 +65,30 @@ Ssd::Ssd(const SsdConfig& config)
 void Ssd::preload(Bytes dataset_bytes) { ftl_->set_preloaded(dataset_bytes); }
 
 RequestResult Ssd::submit(const BlockRequest& request, Time arrival) {
+  // A grant before the settled horizon would be busy time the census
+  // already closed: fail loudly rather than undercount it.
+  if (arrival < settled_horizon_) {
+    throw std::logic_error("Ssd::submit: arrival " + std::to_string(arrival.ps()) +
+                           " ps is before the settled busy horizon " +
+                           std::to_string(settled_horizon_.ps()) + " ps");
+  }
   // Host telemetry (--speed-report): everything below the device boundary
   // — controller, FTL, media model — bills to the "controller" wall-time
   // bucket; nested timeline sections are subtracted back out.
   obs::HostSection host_section(obs::HostSubsystem::kController);
   return controller_->submit(request, arrival);
+}
+
+void Ssd::settle_before(Time horizon) {
+  const std::uint64_t transactions = controller_->stats().transactions;
+  if (transactions - settled_transactions_ < kSettleTransactions ||
+      horizon <= settled_horizon_) {
+    return;
+  }
+  settled_transactions_ = transactions;
+  settled_.add(*hardware_, horizon);
+  hardware_->settle_busy_before(horizon);
+  settled_horizon_ = horizon;
 }
 
 WearSummary Ssd::wear() const {
@@ -62,27 +123,6 @@ WearSummary Ssd::wear() const {
   return total;
 }
 
-namespace {
-
-/// Appends the busy trackers of channel `c`'s subsystem: its bus and
-/// every package's flash bus and die planes.
-void add_channel_trackers(const SsdHardware& hardware, std::uint32_t c,
-                          std::vector<const BusyTracker*>& trackers) {
-  trackers.push_back(&hardware.channel_bus(c).busy());
-  for (std::uint32_t p = 0; p < hardware.geometry().packages_per_channel; ++p) {
-    const Package& package = hardware.package(c, p);
-    trackers.push_back(&package.flash_bus().busy());
-    for (std::uint32_t d = 0; d < package.die_count(); ++d) {
-      const Die& die = package.die(d);
-      for (std::uint32_t plane = 0; plane < die.plane_count(); ++plane) {
-        trackers.push_back(&die.plane_busy(plane));
-      }
-    }
-  }
-}
-
-}  // namespace
-
 double Ssd::media_capability_bytes_per_sec() const {
   const double channel_aggregate =
       config_.bus.byte_rate() * static_cast<double>(config_.geometry.channels);
@@ -95,11 +135,10 @@ DeviceStats Ssd::device_stats(Time wall_time) const {
   DeviceStats stats;
   stats.media_capability = media_capability_bytes_per_sec();
 
-  std::vector<const BusyTracker*> trackers;
-  for (std::uint32_t c = 0; c < config_.geometry.channels; ++c) {
-    add_channel_trackers(*hardware_, c, trackers);
-  }
-  stats.active_time = union_busy_time(trackers);
+  // The settled census plus the intervals still held.
+  BusyCensus busy = settled_;
+  busy.add(*hardware_, Time::max());
+  stats.active_time = busy.device();
   if (stats.active_time <= Time{}) {
     stats.remaining_bandwidth = stats.media_capability;
     return stats;
@@ -114,34 +153,24 @@ DeviceStats Ssd::device_stats(Time wall_time) const {
   // of its packages) is working — the paper's channel-level utilisation,
   // which is why GPFS's scatter keeps "channels" hot even though each
   // holds only one active die.
+  const auto share = [](Time busy, Time window) {
+    return std::min(1.0, static_cast<double>(busy) / static_cast<double>(window));
+  };
   double channel_sum = 0.0;
-  for (std::uint32_t c = 0; c < config_.geometry.channels; ++c) {
-    trackers.clear();
-    add_channel_trackers(*hardware_, c, trackers);
-    channel_sum += std::min(1.0, static_cast<double>(union_busy_time(trackers)) /
-                                     static_cast<double>(stats.active_time));
-  }
-  stats.channel_utilization = channel_sum / config_.geometry.channels;
-
   double package_sum = 0.0;
   double die_sum = 0.0;
-  std::uint32_t die_count = 0;
   for (std::uint32_t c = 0; c < config_.geometry.channels; ++c) {
+    channel_sum += share(busy.channel(c), stats.active_time);
     for (std::uint32_t p = 0; p < config_.geometry.packages_per_channel; ++p) {
-      const Package& package = hardware_->package(c, p);
-      package_sum += std::min(
-          1.0, static_cast<double>(package.busy_time()) / static_cast<double>(stats.active_time));
-      for (std::uint32_t d = 0; d < package.die_count(); ++d) {
-        const Time busy = package.die(d).busy_time();
-        if (wall_time > Time{}) {
-          die_sum += std::min(1.0, static_cast<double>(busy) / static_cast<double>(wall_time));
-        }
-        ++die_count;
+      package_sum += share(busy.package(c, p), stats.active_time);
+      for (std::uint32_t d = 0; d < config_.geometry.dies_per_package; ++d) {
+        die_sum += share(busy.die(c, p, d), wall_time);
       }
     }
   }
+  stats.channel_utilization = channel_sum / config_.geometry.channels;
   stats.package_utilization = package_sum / config_.geometry.total_packages();
-  stats.die_wall_utilization = die_count > 0 ? die_sum / die_count : 0.0;
+  stats.die_wall_utilization = die_sum / config_.geometry.total_dies();
   stats.remaining_bandwidth = stats.media_capability * (1.0 - stats.die_wall_utilization);
   return stats;
 }

@@ -2,7 +2,9 @@
 // the paper's figures report.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/shard_domain.hpp"
@@ -41,6 +43,50 @@ struct DeviceStats {
   double remaining_bandwidth = 0.0;
 };
 
+/// Busy time at every level of the device's resource tree, each level the
+/// union of the one below plus its own bus (docs/MODEL.md §6): a die is
+/// busy while any plane is, a package while its port or any die is, a
+/// channel while its bus or any package is, the device while any
+/// channel is.
+class BusyCensus {
+ public:
+  explicit BusyCensus(const SsdGeometry& geometry);
+
+  /// Adds the busy time `hardware` holds before `horizon`, in one
+  /// hierarchical merge of coalesced runs: die from its planes, package
+  /// from its port and dies, channel from its bus and packages, device
+  /// from the channels.
+  void add(const SsdHardware& hardware, Time horizon);
+
+  [[nodiscard]] Time die(std::uint32_t channel, std::uint32_t package,
+                         std::uint32_t die) const {
+    return die_[package_index(channel, package) * geometry_.dies_per_package + die];
+  }
+  [[nodiscard]] Time package(std::uint32_t channel, std::uint32_t package) const {
+    return package_[package_index(channel, package)];
+  }
+  [[nodiscard]] Time channel(std::uint32_t channel) const { return channel_[channel]; }
+  [[nodiscard]] Time device() const { return device_; }
+
+ private:
+  std::size_t package_index(std::uint32_t channel, std::uint32_t package) const {
+    return std::size_t{channel} * geometry_.packages_per_channel + package;
+  }
+
+  SsdGeometry geometry_;
+  std::vector<Time> die_;
+  std::vector<Time> package_;
+  std::vector<Time> channel_;
+  Time device_;
+  // Scratch reused by every add(): the runs of one package's dies, of
+  // one channel's packages, of every channel, and the merge inputs.
+  std::vector<std::vector<BusyInterval>> die_runs_;
+  std::vector<std::vector<BusyInterval>> package_runs_;
+  std::vector<std::vector<BusyInterval>> channel_runs_;
+  std::vector<BusyInterval> device_runs_;
+  std::vector<std::span<const BusyInterval>> inputs_;
+};
+
 class SIM_SHARD_DOMAIN("node") Ssd {
  public:
   explicit Ssd(const SsdConfig& config);
@@ -50,7 +96,17 @@ class SIM_SHARD_DOMAIN("node") Ssd {
   void preload(Bytes dataset_bytes);
 
   /// Runs one device request; `arrival` is when it reaches the device.
+  /// Throws std::logic_error if `arrival` is before the settled horizon.
   RequestResult submit(const BlockRequest& request, Time arrival);
+
+  /// Promises that no later request arrives before `horizon`. Once about
+  /// kSettleTransactions transactions have run since the last settle,
+  /// folds the busy time before it into the settled census and frees
+  /// those busy intervals; otherwise returns at once. A device that is
+  /// never settled keeps every interval until device_stats().
+  void settle_before(Time horizon);
+  /// Horizon of the last settle; zero until one happens.
+  [[nodiscard]] Time settled_horizon() const { return settled_horizon_; }
 
   const SsdConfig& config() const { return config_; }
   const NvmTiming& timing() const { return timing_; }
@@ -74,12 +130,19 @@ class SIM_SHARD_DOMAIN("node") Ssd {
   const FaultInjector* fault_injector() const { return injector_.get(); }
 
  private:
+  static constexpr std::uint64_t kSettleTransactions = 1 << 14;
+
   SsdConfig config_;
   NvmTiming timing_;
   std::unique_ptr<SsdHardware> hardware_;
   std::unique_ptr<Ftl> ftl_;
   std::unique_ptr<FaultInjector> injector_;
   std::unique_ptr<Controller> controller_;
+  /// Busy time folded by settle_before(), all of it before
+  /// settled_horizon_.
+  BusyCensus settled_;
+  Time settled_horizon_;
+  std::uint64_t settled_transactions_ = 0;
 };
 
 }  // namespace nvmooc

@@ -1,8 +1,13 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 
 #include "common/string_util.hpp"
 
@@ -62,23 +67,89 @@ void Trace::save(const std::string& path) const {
   std::fclose(file);
 }
 
-Trace Trace::load(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "r");
+namespace {
+
+/// Reads a whole file; throws if it cannot be opened or read.
+std::string read_file(const std::string& path) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
   if (!file) throw std::runtime_error("Trace::load: cannot open " + path);
+  std::string text;
+  char buffer[1 << 16];
+  std::size_t got = 0;
+  while ((got = std::fread(buffer, 1, sizeof(buffer), file)) > 0) text.append(buffer, got);
+  const bool failed = std::ferror(file) != 0;
+  std::fclose(file);
+  if (failed) throw std::runtime_error("Trace::load: cannot read " + path);
+  return text;
+}
+
+bool is_blank(char c) { return c == ' ' || c == '\t' || c == '\r'; }
+
+/// Splits one line into at most kMaxFields whitespace-separated fields;
+/// returns the field count, or kMaxFields + 1 if there are more.
+constexpr std::size_t kMaxFields = 5;
+std::size_t split_fields(std::string_view line, std::string_view (&fields)[kMaxFields]) {
+  std::size_t count = 0;
+  std::size_t i = 0;
+  for (;;) {
+    while (i < line.size() && is_blank(line[i])) ++i;
+    if (i == line.size()) return count;
+    if (count == kMaxFields) return kMaxFields + 1;
+    const std::size_t start = i;
+    while (i < line.size() && !is_blank(line[i])) ++i;
+    fields[count++] = line.substr(start, i - start);
+  }
+}
+
+template <typename Int>
+bool parse_int(std::string_view field, Int& out) {
+  const char* end = field.data() + field.size();
+  const auto [at, error] = std::from_chars(field.data(), end, out);
+  return error == std::errc{} && at == end;
+}
+
+}  // namespace
+
+Trace Trace::load(const std::string& path) {
+  const std::string text = read_file(path);
   Trace trace;
-  char op = 0;
-  unsigned long long offset = 0;
-  unsigned long long size = 0;
-  long long not_before = 0;
-  while (std::fscanf(file, " %c %llu %llu %lld", &op, &offset, &size, &not_before) == 4) {
-    // Optional fifth column; a following 'R'/'W' fails the %d match and
-    // stays in the stream for the next iteration.
-    int barrier = 0;
-    if (std::fscanf(file, " %d", &barrier) != 1) barrier = 0;
-    trace.add(op == 'W' ? NvmOp::kWrite : NvmOp::kRead, Bytes{offset}, Bytes{size},
+  std::size_t line_number = 0;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t eol = text.find('\n', pos);
+    if (eol == std::string::npos) eol = text.size();
+    const std::string_view line(text.data() + pos, eol - pos);
+    pos = eol + 1;
+    ++line_number;
+    const auto fail = [&](const char* what) {
+      throw std::runtime_error("Trace::load: " + path + ":" + std::to_string(line_number) +
+                               ": " + what + " in '" + std::string(line) + "'");
+    };
+    std::string_view fields[kMaxFields];
+    const std::size_t count = split_fields(line, fields);
+    if (count == 0) continue;  // Blank line.
+    if (count < 4 || count > kMaxFields) {
+      fail("expected 'R|W offset size not_before [barrier]'");
+    }
+    if (fields[0] != "R" && fields[0] != "W") fail("op is not R or W");
+    std::uint64_t offset = 0;
+    std::uint64_t size = 0;
+    std::int64_t not_before = 0;
+    if (!parse_int(fields[1], offset)) fail("offset is not an unsigned integer");
+    if (!parse_int(fields[2], size)) fail("size is not an unsigned integer");
+    if (size > std::numeric_limits<std::uint64_t>::max() - offset) {
+      fail("offset + size is past 2^64");
+    }
+    if (!parse_int(fields[3], not_before) || not_before < 0) {
+      fail("not_before is not a non-negative integer");
+    }
+    unsigned barrier = 0;
+    if (count == 5 && (!parse_int(fields[4], barrier) || barrier > 1)) {
+      fail("barrier is not 0 or 1");
+    }
+    trace.add(fields[0] == "W" ? NvmOp::kWrite : NvmOp::kRead, Bytes{offset}, Bytes{size},
               Time{not_before}, barrier != 0);
   }
-  std::fclose(file);
   return trace;
 }
 

@@ -62,6 +62,10 @@ class Trace {
   /// per request; the barrier column is written only when set, and its
   /// absence loads as false (older four-column traces stay readable).
   void save(const std::string& path) const;
+  /// Reads that format; blank lines are skipped. Throws
+  /// std::runtime_error naming the path and line for an unreadable file
+  /// or a malformed line (op not R/W, a non-integer or negative field,
+  /// a barrier other than 0/1, or a wrong field count).
   static Trace load(const std::string& path);
 
  private:

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -254,12 +255,43 @@ TEST(BusyTracker, MergeAndIntersect) {
   a.add_interval(Time{20}, Time{30});
   BusyTracker b;
   b.add_interval(Time{5}, Time{25});
-  const BusyTracker* both[] = {&a, &b};
-  const Time merged = union_busy_time(both);
+  const std::span<const BusyInterval> both[] = {a.intervals(), b.intervals()};
+  std::vector<BusyInterval> runs;
+  const Time merged = union_runs(both, Time::max(), runs);
   EXPECT_EQ(merged, Time{30});  // [0,30).
+  EXPECT_EQ(runs, (std::vector<BusyInterval>{{Time{0}, Time{30}}}));
   // The overlap by inclusion-exclusion: [5,10) + [20,25).
   EXPECT_EQ(a.busy_time() + b.busy_time() - merged, Time{10});
-  EXPECT_EQ(union_busy_time({}), Time{0});
+  EXPECT_EQ(union_runs({}, Time::max(), runs), Time{0});
+  EXPECT_TRUE(runs.empty());
+}
+
+TEST(BusyTracker, UnionRunsClipsAtHorizon) {
+  const std::vector<BusyInterval> a{{Time{0}, Time{10}}, {Time{20}, Time{30}}};
+  const std::vector<BusyInterval> b{{Time{10}, Time{12}}, {Time{40}, Time{50}}};
+  const std::span<const BusyInterval> both[] = {a, b};
+  std::vector<BusyInterval> runs;
+  // [0,10) and [10,12) touch and coalesce; [20,30) is cut at 25; [40,50)
+  // starts past the horizon.
+  EXPECT_EQ(union_runs(both, Time{25}, runs), Time{17});
+  EXPECT_EQ(runs, (std::vector<BusyInterval>{{Time{0}, Time{12}}, {Time{20}, Time{25}}}));
+}
+
+TEST(BusyTracker, SettleKeepsBusyTimeAndFreesIntervals) {
+  BusyTracker t;
+  t.add_interval(Time{0}, Time{10});
+  t.add_interval(Time{20}, Time{30});
+  t.add_interval(Time{40}, Time{50});
+  t.settle_before(Time{25});
+  // [0,10) is folded, [20,30) is clipped to [25,30), [40,50) is held.
+  EXPECT_EQ(t.interval_count(), 2u);
+  EXPECT_EQ(t.intervals().front(), (BusyInterval{Time{25}, Time{30}}));
+  EXPECT_EQ(t.busy_time(), Time{30});
+  t.add_interval(Time{30}, Time{35});  // Touches the clipped interval.
+  t.settle_before(Time{60});
+  EXPECT_EQ(t.interval_count(), 0u);
+  EXPECT_EQ(t.busy_time(), Time{35});
+  EXPECT_EQ(t.raw_time(), Time{35});
 }
 
 // Property: an insert that lands before the last interval must not stop
@@ -277,7 +309,7 @@ TEST(BusyTracker, CoalescesAfterOutOfOrderInsert) {
   EXPECT_EQ(t.interval_count(), 1u);
 }
 
-// Property: the streaming k-way union equals merging every tracker's
+// Property: the k-way union of runs equals merging every tracker's
 // intervals into one and flattening it, on random interval sets with
 // random overlaps, touches, out-of-order inserts and empty trackers.
 TEST(BusyTracker, PropertyUnionMatchesMergeThenFlatten) {
@@ -300,9 +332,13 @@ TEST(BusyTracker, PropertyUnionMatchesMergeThenFlatten) {
         cursor = std::max(cursor, end);
       }
     }
-    std::vector<const BusyTracker*> views;
-    for (const BusyTracker& tracker : trackers) views.push_back(&tracker);
-    ASSERT_EQ(union_busy_time(views), merged.busy_time()) << "round " << round;
+    std::vector<std::span<const BusyInterval>> views;
+    for (const BusyTracker& tracker : trackers) views.emplace_back(tracker.intervals());
+    std::vector<BusyInterval> runs;
+    ASSERT_EQ(union_runs(views, Time::max(), runs), merged.busy_time()) << "round " << round;
+    ASSERT_TRUE(std::equal(runs.begin(), runs.end(), merged.intervals().begin(),
+                           merged.intervals().end()))
+        << "round " << round;
   }
 }
 

@@ -14,6 +14,7 @@
 #include "dooc/scheduler.hpp"
 #include "ooc/lobpcg.hpp"
 #include "ooc/ooc_operator.hpp"
+#include "obs/host_profiler.hpp"
 #include "ooc/workload.hpp"
 
 namespace nvmooc {
@@ -215,6 +216,45 @@ TEST(Integration, BackfillHeavyRandomReplayIsPinned) {
   EXPECT_EQ(result.transactions, 29524u);
   EXPECT_EQ(result.channel_utilization, 0.99188627367208726);
   EXPECT_EQ(result.package_utilization, 0.26087661090315695);
+}
+
+// The replay engine settles busy time behind its issue watermark, so a
+// PCM replay of the quick OoC trace (a 64 MiB dataset, one sweep) ends
+// holding only the busy intervals since the last settle: fewer than 1%
+// of its timeline reservations.
+TEST(Integration, PcmReplaySettlesBusyIntervals) {
+  SyntheticWorkloadParams params;
+  params.dataset_bytes = 64 * MiB;
+  params.tile_bytes = 8 * MiB;
+  params.sweeps = 1;
+  params.checkpoint_bytes = 2 * MiB;
+  ReplayEngine engine(cnl_fs_config(ext4_behavior(), NvmType::kPcm));
+  ExperimentResult result;
+  {
+    obs::HostSession host;  // Counts the timeline reservations.
+    result = engine.run(synthesize_ooc_trace(params));
+  }
+  const std::uint64_t reservations =
+      result.host.events[static_cast<int>(obs::HostEvent::kTimelineReservation)];
+
+  std::uint64_t held = 0;
+  const SsdHardware& hardware = engine.ssd().hardware();
+  for (std::uint32_t c = 0; c < hardware.geometry().channels; ++c) {
+    held += hardware.channel_bus(c).busy().interval_count();
+    for (std::uint32_t p = 0; p < hardware.geometry().packages_per_channel; ++p) {
+      const Package& package = hardware.package(c, p);
+      held += package.flash_bus().busy().interval_count();
+      for (std::uint32_t d = 0; d < package.die_count(); ++d) {
+        const Die& die = package.die(d);
+        for (std::uint32_t plane = 0; plane < die.plane_count(); ++plane) {
+          held += die.plane_busy(plane).interval_count();
+        }
+      }
+    }
+  }
+  EXPECT_GT(engine.ssd().settled_horizon(), Time{});
+  EXPECT_GT(reservations, 100'000u);
+  EXPECT_LT(held * 100, reservations) << held << " of " << reservations;
 }
 
 }  // namespace

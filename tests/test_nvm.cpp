@@ -9,6 +9,7 @@
 #include "nvm/package.hpp"
 #include "nvm/timing.hpp"
 #include "nvm/wear.hpp"
+#include "ssd/ssd.hpp"
 
 namespace nvmooc {
 namespace {
@@ -178,12 +179,25 @@ TEST(Die, EraseTakesEraseTime) {
   EXPECT_EQ(die.wear().erases(5 * timing.planes_per_die + 0), 1u);
 }
 
+/// A one-channel device with `dies` dies in its one package.
+SsdGeometry one_package(std::uint32_t dies) {
+  SsdGeometry geometry;
+  geometry.channels = 1;
+  geometry.packages_per_channel = 1;
+  geometry.dies_per_package = dies;
+  return geometry;
+}
+
 TEST(Die, BusyTimeUnionsPlanes) {
   const NvmTiming timing = slc_timing();
-  Die die(timing, false);
+  const SsdGeometry geometry = one_package(1);
+  SsdHardware hardware(geometry, timing, onfi3_sdr_bus(), false);
+  Die& die = hardware.package(0, 0).die(0);
   die.activate(0, NvmOp::kRead, 0, 0, 1, Time{});
   die.activate(1, NvmOp::kRead, 0, 0, 1, Time{});  // Concurrent.
-  EXPECT_EQ(die.busy_time(), timing.read_time);
+  BusyCensus census(geometry);
+  census.add(hardware, Time::max());
+  EXPECT_EQ(census.die(0, 0, 0), timing.read_time);
 }
 
 TEST(Die, InvalidPlaneThrows) {
@@ -203,11 +217,19 @@ TEST(Package, FlashBusSerializesAcrossDies) {
 
 TEST(Package, BusyIncludesDiesAndPort) {
   const NvmTiming timing = slc_timing();
-  Package package(timing, onfi3_sdr_bus(), 2, false);
+  const SsdGeometry geometry = one_package(2);
+  SsdHardware hardware(geometry, timing, onfi3_sdr_bus(), false);
+  Package& package = hardware.package(0, 0);
   package.die(0).activate(0, NvmOp::kRead, 0, 0, 1, Time{});
   package.reserve_flash_bus(timing.read_time, 2 * KiB);
   const Time port = onfi3_sdr_bus().transfer_time(2 * KiB);
-  EXPECT_EQ(package.busy_time(), timing.read_time + port);
+  BusyCensus census(geometry);
+  census.add(hardware, Time::max());
+  EXPECT_EQ(census.package(0, 0), timing.read_time + port);
+  EXPECT_EQ(census.die(0, 0, 1), Time{0});
+  // Nothing else is on the channel: it and the device equal the package.
+  EXPECT_EQ(census.channel(0), timing.read_time + port);
+  EXPECT_EQ(census.device(), timing.read_time + port);
 }
 
 // ---------- wear -----------------------------------------------------------

@@ -3,11 +3,16 @@
 // and device statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <tuple>
+#include <vector>
 
+#include "common/random.hpp"
 #include "ssd/controller.hpp"
 #include "ssd/ftl.hpp"
 #include "ssd/geometry.hpp"
@@ -480,6 +485,132 @@ TEST(DeviceStats, WearAggregatesAcrossDies) {
   f.ssd->submit({NvmOp::kWrite, Bytes{}, MiB, false, false}, Time{});
   const WearSummary wear = f.ssd->wear();
   EXPECT_EQ(wear.total_writes, MiB / (2 * KiB));
+}
+
+// ---------- busy census and settlement -----------------------------------
+
+/// Length of the union of `intervals` by sort-and-sweep: the unsettled
+/// reference the census is checked against.
+Time reference_union(std::vector<BusyInterval> intervals) {
+  std::sort(intervals.begin(), intervals.end());
+  Time total;
+  Time run_end;
+  for (const auto& [start, end] : intervals) {
+    const Time from = std::max(start, run_end);
+    if (end > from) total += end - from;
+    run_end = std::max(run_end, end);
+  }
+  return total;
+}
+
+// Property: on a small backfilling device, random grants (out-of-order
+// backfills, and grants that straddle later horizons) settled at random
+// non-decreasing horizons leave every census level equal to the union of
+// every grant below it.
+TEST(BusyCensus, SettledLevelsMatchUnsettledUnions) {
+  SsdGeometry geometry;
+  geometry.channels = 2;
+  geometry.packages_per_channel = 2;
+  geometry.dies_per_package = 2;
+  const NvmTiming timing = slc_timing();
+  Rng rng(20261019);
+  std::size_t settles = 0;
+  std::size_t straddles = 0;
+  for (int round = 0; round < 40; ++round) {
+    SsdHardware hardware(geometry, timing, onfi3_sdr_bus(), /*backfill=*/true);
+    BusyCensus settled(geometry);
+    std::vector<std::vector<BusyInterval>> dies(geometry.total_dies());
+    std::vector<std::vector<BusyInterval>> packages(geometry.total_packages());
+    std::vector<std::vector<BusyInterval>> channels(geometry.channels);
+    std::vector<BusyInterval> device;
+    Time horizon;
+    for (int step = 0; step < 400; ++step) {
+      const auto pick = [&rng](std::uint32_t n) {
+        return static_cast<std::uint32_t>(rng.next_below(n));
+      };
+      const std::uint32_t c = pick(geometry.channels);
+      const std::uint32_t p = pick(geometry.packages_per_channel);
+      const std::uint32_t d = pick(geometry.dies_per_package);
+      const std::size_t package_index = c * geometry.packages_per_channel + p;
+      // Mostly near the horizon, sometimes far ahead: the far grants open
+      // gaps that later grants backfill out of order.
+      Time earliest = horizon + Time{static_cast<std::int64_t>(rng.next_below(40'000'000))};
+      if (rng.next_below(6) == 0) earliest += Time{400'000'000};
+      BusyInterval grant;
+      const std::uint64_t kind = rng.next_below(3);
+      if (kind == 0) {
+        const CellActivation cell = hardware.package(c, p).die(d).activate(
+            pick(timing.planes_per_die), NvmOp::kRead, 0, 0, 1, earliest);
+        grant = {cell.start, cell.end};
+        dies[package_index * geometry.dies_per_package + d].push_back(grant);
+      } else if (kind == 1) {
+        const Reservation port =
+            hardware.package(c, p).reserve_flash_bus(earliest, Bytes{512 + rng.next_below(4096)});
+        grant = {port.start, port.end};
+      } else {
+        const Reservation bus = hardware.channel_bus(c).reserve(
+            earliest, Time{static_cast<std::int64_t>(1 + rng.next_below(20'000'000))});
+        grant = {bus.start, bus.end};
+      }
+      ASSERT_GE(grant.first, horizon);
+      if (kind != 2) packages[package_index].push_back(grant);
+      channels[c].push_back(grant);
+      device.push_back(grant);
+      if (rng.next_below(8) == 0) {
+        horizon += Time{static_cast<std::int64_t>(rng.next_below(60'000'000))};
+        for (const BusyInterval& interval : device) {
+          straddles += interval.first < horizon && interval.second > horizon;
+        }
+        settled.add(hardware, horizon);
+        hardware.settle_busy_before(horizon);
+        ++settles;
+      }
+    }
+    BusyCensus census = settled;
+    census.add(hardware, Time::max());
+    for (std::uint32_t c = 0; c < geometry.channels; ++c) {
+      ASSERT_EQ(census.channel(c), reference_union(channels[c])) << "round " << round;
+      for (std::uint32_t p = 0; p < geometry.packages_per_channel; ++p) {
+        const std::size_t package_index = c * geometry.packages_per_channel + p;
+        ASSERT_EQ(census.package(c, p), reference_union(packages[package_index]))
+            << "round " << round;
+        for (std::uint32_t d = 0; d < geometry.dies_per_package; ++d) {
+          ASSERT_EQ(census.die(c, p, d),
+                    reference_union(dies[package_index * geometry.dies_per_package + d]))
+              << "round " << round;
+        }
+      }
+    }
+    ASSERT_EQ(census.device(), reference_union(device)) << "round " << round;
+  }
+  // The seed exercises what the property is about.
+  EXPECT_GT(settles, 1000u);
+  EXPECT_GT(straddles, 100u);
+}
+
+TEST(BusyCensus, SubmitBeforeSettledHorizonThrows) {
+  SsdConfig config;
+  config.media = NvmType::kPcm;
+  Ssd ssd(config);
+  ssd.preload(GiB);
+  const BlockRequest read{NvmOp::kRead, Bytes{}, 64 * KiB, false, false};
+  Time arrival;
+  while (ssd.settled_horizon() == Time{}) {
+    arrival += kMicrosecond;
+    ssd.settle_before(arrival);
+    ssd.submit(read, arrival);
+  }
+  EXPECT_EQ(ssd.settled_horizon(), arrival);
+  EXPECT_NO_THROW(ssd.submit(read, arrival));
+  try {
+    ssd.submit(read, arrival - Time{1});
+    FAIL() << "a request before the settled horizon was accepted";
+  } catch (const std::logic_error& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find(std::to_string((arrival - Time{1}).ps())), std::string::npos)
+        << message;
+    EXPECT_NE(message.find(std::to_string(arrival.ps())), std::string::npos) << message;
+  }
 }
 
 }  // namespace

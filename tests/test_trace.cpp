@@ -43,7 +43,7 @@ TEST(Trace, EmptyStatsAreZero) {
 TEST(Trace, SaveLoadRoundTrip) {
   Trace trace;
   trace.add(NvmOp::kRead, Bytes{123}, Bytes{456}, Time{789});
-  trace.add(NvmOp::kWrite, 1 * GiB, 2 * MiB);
+  trace.add(NvmOp::kWrite, 1 * GiB, 2 * MiB, Time{}, true);
   const std::string path = ::testing::TempDir() + "/trace_roundtrip.txt";
   trace.save(path);
   const Trace loaded = Trace::load(path);
@@ -54,11 +54,67 @@ TEST(Trace, SaveLoadRoundTrip) {
   EXPECT_EQ(loaded[0].not_before, Time{789});
   EXPECT_EQ(loaded[1].op, NvmOp::kWrite);
   EXPECT_EQ(loaded[1].offset, GiB);
+  EXPECT_FALSE(loaded[0].barrier);
+  EXPECT_TRUE(loaded[1].barrier);
   std::remove(path.c_str());
 }
 
 TEST(Trace, LoadMissingFileThrows) {
   EXPECT_THROW(Trace::load("/nonexistent/path/x.trace"), std::runtime_error);
+}
+
+/// Writes `text` to a temporary trace file and returns its path.
+std::string write_trace(const char* name, const char* text) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::FILE* file = std::fopen(path.c_str(), "w");
+  std::fputs(text, file);
+  std::fclose(file);
+  return path;
+}
+
+/// The message Trace::load throws for `text`, or "" if it loads.
+std::string load_error(const char* text) {
+  const std::string path = write_trace("trace_load_error.txt", text);
+  std::string message;
+  try {
+    Trace::load(path);
+  } catch (const std::runtime_error& e) {
+    message = e.what();
+  }
+  std::remove(path.c_str());
+  return message;
+}
+
+TEST(Trace, LoadRejectsMalformedLineWithItsNumber) {
+  const std::string message = load_error(
+      "R 0 4096 0\nR 4096 4096 0\nW 8192 4096 0 1\ngarbage here\nR 0 4096 0\n");
+  EXPECT_NE(message.find("trace_load_error.txt:4:"), std::string::npos) << message;
+  EXPECT_NE(message.find("garbage here"), std::string::npos) << message;
+}
+
+TEST(Trace, LoadRejectsUnknownOpAndNegativeNotBefore) {
+  EXPECT_NE(load_error("R 0 4096 0\nX 0 4096 0\n").find(":2: op is not R or W"),
+            std::string::npos);
+  EXPECT_NE(load_error("R 0 4096 -1\n").find(":1: not_before"), std::string::npos);
+  EXPECT_NE(load_error("R 0 4096 0 2\n").find(":1: barrier"), std::string::npos);
+  EXPECT_NE(load_error("R 0 4096 0 1 extra\n").find(":1: expected"), std::string::npos);
+  EXPECT_NE(load_error("R -5 4096 0\n").find(":1: offset"), std::string::npos);
+  EXPECT_NE(load_error("R 18446744073709551615 1 0\n").find(":1: offset + size"),
+            std::string::npos);
+}
+
+TEST(Trace, LoadAcceptsBlankLinesAndOptionalBarrier) {
+  const std::string path =
+      write_trace("trace_load_ok.txt", "R 0 4096 7\n\n  \r\nW 4096 512 0 1\r\nR 1 2 3 0");
+  const Trace trace = Trace::load(path);
+  std::remove(path.c_str());
+  ASSERT_EQ(trace.size(), 3u);
+  EXPECT_EQ(trace[0].not_before, Time{7});
+  EXPECT_FALSE(trace[0].barrier);
+  EXPECT_EQ(trace[1].op, NvmOp::kWrite);
+  EXPECT_TRUE(trace[1].barrier);
+  EXPECT_EQ(trace[2].size, Bytes{2});
+  EXPECT_FALSE(trace[2].barrier);
 }
 
 // ---------- synthetic generators -------------------------------------------
