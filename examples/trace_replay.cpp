@@ -5,18 +5,18 @@
 //        [--trace=FILE | --pattern=seq|rand|strided] [--size-mib=256]
 //        [--faults=SCENARIO] [--audit]
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "check/audit.hpp"
 #include "cluster/configs.hpp"
 #include "cluster/engine.hpp"
 #include "common/random.hpp"
-#include "common/shard_guard.hpp"
 #include "fs/presets.hpp"
 #include "obs/cli.hpp"
 #include "trace/scenario.hpp"
@@ -35,11 +35,6 @@ const char* kUsage =
     "                    [--audit]  (verify conservation/causality/occupancy/FTL\n"
     "                                invariants during the replay; exit 3 on any\n"
     "                                violation)\n"
-    "                    [--shard-guard] (dynamic shard-domain sanitizer: assert\n"
-    "                                 every media access happens on behalf of the\n"
-    "                                 owning channel/package/die; exit 4 on any\n"
-    "                                 cross-domain touch. Default-on in the\n"
-    "                                 `guard` CMake preset)\n"
     "                    [--profile] (record the causal event graph, print the\n"
     "                                 critical-path blame report, and add the\n"
     "                                 \"profile\" section to --result-out)\n"
@@ -57,10 +52,12 @@ const char* kUsage =
     "                                 default 8)\n"
     "                    [--no-flight-recorder] (disable the always-on ring of\n"
     "                                 recent events + request ledgers that is\n"
-    "                                 dumped automatically on audit/shard-guard\n"
-    "                                 violations and fault aborts)\n"
+    "                                 dumped automatically on audit violations\n"
+    "                                 and fault aborts)\n"
     "                    [--flight-out=FILE] (flight-dump path; default\n"
     "                                 flight-dump.json)\n"
+    "exit codes: 0 ok, 1 input/usage error, 2 fault-injection abort,\n"
+    "            3 audit violation\n"
     "configs: ion-gpfs, cnl-jfs, cnl-btrfs, cnl-xfs, cnl-reiserfs, cnl-ext2,\n"
     "         cnl-ext3, cnl-ext4, cnl-ext4-l, cnl-ufs, cnl-bridge-16,\n"
     "         cnl-native-8, cnl-native-16\n";
@@ -83,6 +80,16 @@ bool flag(int argc, char** argv, const char* key) {
   return false;
 }
 
+/// Reads all of `text` as a T: false on empty or non-numeric text,
+/// trailing characters, a sign an unsigned T cannot take, or a value
+/// out of T's range.
+template <typename T>
+bool parse_whole(const std::string& text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [at, error] = std::from_chars(text.data(), end, out);
+  return error == std::errc{} && at == end;
+}
+
 /// Parses --`key` (default `fallback`) as a positive count of `unit`
 /// bytes. On 0, non-numeric text or a byte count past 2^64 prints an
 /// error naming the flag and returns false.
@@ -90,15 +97,45 @@ bool byte_option(int argc, char** argv, const char* key, const char* fallback, B
                  Bytes& out) {
   const std::string text = option(argc, argv, key, fallback);
   std::uint64_t count = 0;
-  const char* end = text.data() + text.size();
-  const auto [at, error] = std::from_chars(text.data(), end, count);
-  if (error != std::errc{} || at != end || count == 0 ||
+  if (!parse_whole(text, count) || count == 0 ||
       count > std::numeric_limits<std::uint64_t>::max() / unit.value()) {
     std::fprintf(stderr, "--%s: expected a positive integer (bytes must fit 64 bits), got '%s'\n",
                  key, text.c_str());
     return false;
   }
   out = count * unit;
+  return true;
+}
+
+/// Parses --`key` (default `fallback`) as a count, 0 included. On
+/// non-numeric text, a sign or a value past 2^64 prints an error naming
+/// the flag and returns false.
+bool count_option(int argc, char** argv, const char* key, const char* fallback,
+                  std::size_t& out) {
+  const std::string text = option(argc, argv, key, fallback);
+  std::uint64_t count = 0;
+  if (!parse_whole(text, count) || count > std::numeric_limits<std::size_t>::max()) {
+    std::fprintf(stderr, "--%s: expected a non-negative integer, got '%s'\n", key,
+                 text.c_str());
+    return false;
+  }
+  out = static_cast<std::size_t>(count);
+  return true;
+}
+
+/// Parses --`key` (default `fallback`) as a finite, non-negative number
+/// of seconds; otherwise prints an error naming the flag and returns
+/// false.
+bool seconds_option(int argc, char** argv, const char* key, const char* fallback,
+                    double& out) {
+  const std::string text = option(argc, argv, key, fallback);
+  double seconds = 0.0;
+  if (!parse_whole(text, seconds) || !std::isfinite(seconds) || seconds < 0.0) {
+    std::fprintf(stderr, "--%s: expected a finite non-negative number of seconds, got '%s'\n",
+                 key, text.c_str());
+    return false;
+  }
+  out = seconds;
   return true;
 }
 
@@ -150,11 +187,11 @@ int main(int argc, char** argv) {
   obs_options.log_level = option(argc, argv, "log-level", "");
   obs_options.profile = flag(argc, argv, "profile");
   obs_options.speed_report = flag(argc, argv, "speed-report");
-  obs_options.heartbeat_sec =
-      std::strtod(option(argc, argv, "heartbeat-sec", "5").c_str(), nullptr);
   obs_options.exemplars_out = option(argc, argv, "exemplars-out", "");
-  obs_options.exemplar_count = static_cast<std::size_t>(
-      std::strtoull(option(argc, argv, "exemplars", "8").c_str(), nullptr, 10));
+  if (!seconds_option(argc, argv, "heartbeat-sec", "5", obs_options.heartbeat_sec) ||
+      !count_option(argc, argv, "exemplars", "8", obs_options.exemplar_count)) {
+    return 1;
+  }
   obs_options.flight = !flag(argc, argv, "no-flight-recorder");
   obs_options.flight_out = option(argc, argv, "flight-out", "");
   const std::string result_out = option(argc, argv, "result-out", "");
@@ -173,6 +210,7 @@ int main(int argc, char** argv) {
   if (!fault_path.empty()) {
     try {
       config.fault = load_fault_scenario(fault_path);
+      config.fault.validate(config.geometry);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "bad fault scenario: %s\n", e.what());
       return 1;
@@ -205,22 +243,13 @@ int main(int argc, char** argv) {
               stats.sequentiality, 100.0 * stats.read_fraction);
 
   const bool audit = flag(argc, argv, "audit");
-#if defined(NVMOOC_SHARD_GUARD_DEFAULT) && NVMOOC_SHARD_GUARD_DEFAULT
-  const bool shard_guard = true;  // `guard` preset: always sanitized.
-#else
-  const bool shard_guard = flag(argc, argv, "shard-guard");
-#endif
   const std::unique_ptr<obs::ObsSession> session = obs::make_session(obs_options);
   // The audit session installs the thread-local auditor the hook sites
   // check; the engine snapshots the verdict into result.audit.
   std::unique_ptr<check::AuditSession> audit_session;
   if (audit) audit_session = std::make_unique<check::AuditSession>();
-  // Same install pattern for the shard sanitizer; the session outlives
-  // the replay and we read its report back directly.
-  std::unique_ptr<shard::ShardGuardSession> guard_session;
-  if (shard_guard) guard_session = std::make_unique<shard::ShardGuardSession>();
   // Tail-exemplar observatory (--exemplars-out) and the default-on
-  // flight recorder — both install thread-locally, like audit/guard.
+  // flight recorder — both install thread-locally, like the auditor.
   std::unique_ptr<obs::LatencySession> latency_session;
   if (!obs_options.exemplars_out.empty()) {
     latency_session = std::make_unique<obs::LatencySession>(obs_options.exemplar_count);
@@ -304,16 +333,6 @@ int main(int argc, char** argv) {
                       std::to_string(result.audit.violation_count) +
                       " invariant violation(s)");
       return 3;
-    }
-  }
-  if (guard_session != nullptr) {
-    const shard::ShardGuardReport& guard_report = guard_session->report();
-    std::printf("%s\n", guard_report.summary().c_str());
-    if (!guard_report.passed()) {
-      dump_flight_now("shard-guard violation: " +
-                      std::to_string(guard_report.violation_count) +
-                      " cross-domain access(es)");
-      return 4;
     }
   }
   return 0;

@@ -52,6 +52,7 @@ class LaneAllocator {
 }  // namespace
 
 ReplayEngine::ReplayEngine(const ExperimentConfig& config) : config_(config) {
+  config_.fault.validate(config_.geometry);
   SsdConfig ssd_config;
   ssd_config.geometry = config_.geometry;
   ssd_config.media = config_.media;

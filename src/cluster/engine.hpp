@@ -13,7 +13,6 @@
 #include <memory>
 
 #include "cluster/experiment.hpp"
-#include "common/shard_domain.hpp"
 #include "interconnect/link.hpp"
 #include "trace/trace.hpp"
 #include "ufs/ufs.hpp"
@@ -22,10 +21,12 @@ namespace nvmooc {
 
 // One engine drives one modelled node end to end (device, links, FS);
 // nothing in it is shared with other engines, so engines on different
-// threads could replay concurrently. The sweep runner (bench_common's
-// register_sweep) runs them one after another.
-class SIM_SHARD_DOMAIN("node") ReplayEngine {
+// threads replay concurrently, one replay per thread
+// (tests/test_concurrent_replays.cpp checks it under tsan).
+class ReplayEngine {
  public:
+  /// Throws std::invalid_argument when the fault scenario names a
+  /// channel, package or die outside the device (FaultConfig::validate).
   explicit ReplayEngine(const ExperimentConfig& config);
 
   /// Replays the trace; call once per engine instance.

@@ -1,12 +1,11 @@
 // Flight-recorder hook slot: how layers that cannot link src/obs (the
-// auditor in src/check, the shard-domain sanitizer in src/common) still
-// feed the always-on flight recorder.
+// auditor in src/check) still feed the always-on flight recorder.
 //
 // The recorder itself (obs::FlightRecorder, src/obs/flight_recorder.hpp)
 // lives above this library in the link graph, so the dependency is
 // inverted through a minimal sink interface: the recorder implements
-// Sink and installs itself thread-locally here; hook sites in common and
-// check call flight::note(), which is one thread-local load and a branch
+// Sink and installs itself thread-locally here; hook sites in check
+// call flight::note(), which is one thread-local load and a branch
 // when no recorder is installed — the zero-overhead-when-off contract
 // every observer layer in this repo follows.
 //

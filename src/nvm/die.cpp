@@ -39,9 +39,6 @@ CellActivation Die::activate(std::uint32_t plane, NvmOp op, std::uint64_t block,
   if (plane >= planes_.size()) {
     throw std::out_of_range("Die::activate: plane index out of range");
   }
-  // Plane timelines and wear counters are this die's owned state; the
-  // active frame must sit on the same containment chain.
-  shard::check_access(shard_ref_, "Die::activate");
   const Time duration = activation_time(op, page_in_block, cell_ops) + extra;
   const Reservation grant = planes_[plane].reserve(earliest, duration);
 
@@ -72,11 +69,6 @@ const BusyTracker& Die::plane_busy(std::uint32_t plane) const {
 
 void Die::settle_busy_before(Time horizon) {
   for (Timeline& plane : planes_) plane.settle_busy_before(horizon);
-}
-
-void Die::reset() {
-  for (Timeline& plane : planes_) plane.reset();
-  wear_ = WearTracker{};
 }
 
 }  // namespace nvmooc

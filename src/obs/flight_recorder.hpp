@@ -1,10 +1,8 @@
 // Always-on flight recorder: a fixed-size ring of recent events and
 // completed request ledgers, cheap enough to leave on for every replay,
 // dumped automatically when something goes wrong — an audit violation
-// (trace_replay exit 3), a shard-guard violation (exit 4), or a
-// fault-injection abort. Every future parallel-DES divergence and
-// crash-recovery test then comes with a postmortem instead of an exit
-// code.
+// (trace_replay exit 3) or a fault-injection abort (exit 2). A failing
+// replay then comes with a postmortem instead of an exit code.
 //
 // Cost model, because "always on" must stay honest (CI guards <=1%
 // wall-clock on the quick headline bench, and makespans bit-identical):
@@ -19,7 +17,7 @@
 //    state touched.
 //
 // Layering: the recorder lives in src/obs, but the auditor (src/check)
-// and shard guard (src/common) cannot link obs — they reach it through
+// cannot link obs — it reaches it through
 // the flight::Sink slot in common/flight_hook.hpp, which FlightSession
 // also installs. Obs-linking layers (engine, FS, SSD, DOoC) use
 // obs::flight_recorder() directly.
@@ -104,7 +102,7 @@ inline FlightRecorder* flight_recorder() { return detail::tls_flight; }
 
 /// Owns a FlightRecorder and installs it on the constructing thread —
 /// both as obs::flight_recorder() and as the flight::Sink the non-obs
-/// layers (audit, shard guard) note into. Build one per replay; the CLI
+/// layers (the auditor) note into. Build one per replay; the CLI
 /// surfaces leave it on by default.
 class FlightSession {
  public:

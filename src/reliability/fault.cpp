@@ -1,8 +1,37 @@
 #include "reliability/fault.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
+
+#include "ssd/geometry.hpp"
 
 namespace nvmooc {
+
+namespace {
+
+void check_index(const char* fault, const char* level, std::uint32_t index,
+                 std::uint32_t limit, const char* limit_name) {
+  if (index >= limit) {
+    throw std::invalid_argument(std::string(fault) + ": " + level + " " +
+                                std::to_string(index) + " out of range (device has " +
+                                std::to_string(limit) + " " + limit_name + ")");
+  }
+}
+
+}  // namespace
+
+void FaultConfig::validate(const SsdGeometry& geometry) const {
+  for (const DieStuckFault& fault : stuck_dies) {
+    check_index("stuck", "channel", fault.channel, geometry.channels, "channels");
+    check_index("stuck", "package", fault.package, geometry.packages_per_channel,
+                "packages per channel");
+    check_index("stuck", "die", fault.die, geometry.dies_per_package, "dies per package");
+  }
+  for (const ChannelStallFault& fault : channel_stalls) {
+    check_index("stall", "channel", fault.channel, geometry.channels, "channels");
+  }
+}
 
 double media_base_rber(NvmType type) {
   switch (type) {

@@ -20,6 +20,8 @@
 
 namespace nvmooc {
 
+struct SsdGeometry;
+
 /// A die that stops returning valid data: every read sense targeting it
 /// at or after `begin` fails uncorrectably (controller status check, no
 /// retry ladder — the data is gone, only the replicated path above can
@@ -54,6 +56,11 @@ struct FaultConfig {
   double wear_slope = 4.0;
   std::vector<DieStuckFault> stuck_dies;
   std::vector<ChannelStallFault> channel_stalls;
+
+  /// Throws std::invalid_argument when a stuck die or a stalled channel
+  /// names a channel, package or die index outside `geometry`; the
+  /// message names the index and the geometry's limit.
+  void validate(const SsdGeometry& geometry) const;
 };
 
 /// Pristine-media raw bit error rates by cell technology. Denser cells

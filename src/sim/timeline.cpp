@@ -275,14 +275,6 @@ Time Timeline::peek(Time earliest, Time duration) const {
 
 std::size_t Timeline::gap_count() const { return gaps_ ? gaps_->size() : 0; }
 
-void Timeline::reset() {
-  next_free_ = Time{};
-  gaps_.reset();
-  busy_ = BusyTracker{};
-  reservation_count_ = 0;
-  if (check::Auditor* aud = check::auditor()) aud->timeline_released(this);
-}
-
 Timeline::Timeline(Timeline&&) noexcept = default;
 Timeline& Timeline::operator=(Timeline&&) noexcept = default;
 

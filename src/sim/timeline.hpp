@@ -13,7 +13,6 @@
 #include <memory>
 #include <string>
 
-#include "common/shard_domain.hpp"
 #include "common/stats.hpp"
 #include "common/units.hpp"
 
@@ -27,9 +26,7 @@ struct Reservation {
   Time waited;
 };
 
-// Mechanism class: a Timeline instance belongs to whatever resource
-// embeds it (die plane, package port, channel bus, host link).
-class SIM_SHARD_DOMAIN("owner") Timeline {
+class Timeline {
  public:
   /// When `backfill` is true the timeline keeps a list of earlier idle
   /// gaps and grants each transaction the first gap, in list order, that
@@ -64,8 +61,6 @@ class SIM_SHARD_DOMAIN("owner") Timeline {
   /// no instrumentation — reserve() stays branch-plus-nothing.
   void set_trace_label(std::string label) { trace_label_ = std::move(label); }
   const std::string& trace_label() const { return trace_label_; }
-
-  void reset();
 
   ~Timeline();
   // The destructor releases audit state keyed by this address, and the

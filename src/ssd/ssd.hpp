@@ -7,7 +7,6 @@
 #include <span>
 #include <vector>
 
-#include "common/shard_domain.hpp"
 #include "nvm/bus.hpp"
 #include "nvm/wear.hpp"
 #include "ssd/controller.hpp"
@@ -87,7 +86,7 @@ class BusyCensus {
   std::vector<std::span<const BusyInterval>> inputs_;
 };
 
-class SIM_SHARD_DOMAIN("node") Ssd {
+class Ssd {
  public:
   explicit Ssd(const SsdConfig& config);
 

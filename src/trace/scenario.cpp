@@ -1,5 +1,7 @@
 #include "trace/scenario.hpp"
 
+#include <charconv>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -37,7 +39,16 @@ FaultConfig parse_fault_scenario(const std::string& text) {
       if (!(fields >> fault.channel >> fault.package >> fault.die)) {
         fail("stuck needs <channel> <package> <die> [begin_ps]");
       }
-      fields >> fault.begin;  // Optional; stays 0 when absent.
+      std::string begin;
+      if (fields >> begin) {  // Optional; stays 0 when absent.
+        std::int64_t ps = 0;
+        const char* end = begin.data() + begin.size();
+        const auto [at, error] = std::from_chars(begin.data(), end, ps);
+        if (error != std::errc{} || at != end || ps < 0) {
+          fail("stuck begin_ps must be a non-negative integer, got '" + begin + "'");
+        }
+        fault.begin = Time{ps};
+      }
       config.stuck_dies.push_back(fault);
     } else if (directive == "stall") {
       ChannelStallFault fault;
@@ -48,6 +59,8 @@ FaultConfig parse_fault_scenario(const std::string& text) {
     } else {
       fail("unknown directive '" + directive + "'");
     }
+    std::string extra;
+    if (fields >> extra) fail(directive + ": unexpected trailing field '" + extra + "'");
   }
   return config;
 }

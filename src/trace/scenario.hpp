@@ -21,7 +21,9 @@
 
 namespace nvmooc {
 
-/// Parses scenario text. Throws std::runtime_error on a malformed line.
+/// Parses scenario text. Throws std::runtime_error naming the line on an
+/// unknown directive, a missing or non-numeric field, or a trailing one.
+/// Index ranges are checked against a device by FaultConfig::validate.
 FaultConfig parse_fault_scenario(const std::string& text);
 
 FaultConfig load_fault_scenario(const std::string& path);

@@ -5,6 +5,8 @@
 
 #include <cstdio>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "cluster/configs.hpp"
@@ -15,6 +17,7 @@
 #include "reliability/ecc.hpp"
 #include "reliability/fault.hpp"
 #include "ssd/ftl.hpp"
+#include "ssd/geometry.hpp"
 #include "trace/scenario.hpp"
 
 namespace nvmooc {
@@ -444,6 +447,80 @@ TEST(Scenario, ParsesCommentsAndRejectsGarbage) {
 
   EXPECT_THROW(parse_fault_scenario("frobnicate 1\n"), std::runtime_error);
   EXPECT_THROW(parse_fault_scenario("stuck 0\n"), std::runtime_error);
+}
+
+// Message of the std::runtime_error parse_fault_scenario throws on `text`
+// (empty when it parses).
+std::string scenario_error(const std::string& text) {
+  try {
+    parse_fault_scenario(text);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Scenario, RejectsTrailingFieldsWithTheLineNumber) {
+  EXPECT_EQ(scenario_error("seed 1\nstall 42 0 1000000 junk\n"),
+            "fault scenario line 2: stall: unexpected trailing field 'junk'");
+  EXPECT_EQ(scenario_error("stuck 0 1 2 300 400\n"),
+            "fault scenario line 1: stuck: unexpected trailing field '400'");
+  EXPECT_EQ(scenario_error("rber 1e-4x\n"),
+            "fault scenario line 1: rber: unexpected trailing field 'x'");
+  EXPECT_EQ(scenario_error("# header\n\nseed 7 8\n"),
+            "fault scenario line 3: seed: unexpected trailing field '8'");
+}
+
+TEST(Scenario, RejectsANonIntegerOptionalBegin) {
+  for (const char* begin : {"soon", "1.5", "12ps", "-4"}) {
+    EXPECT_EQ(scenario_error(std::string("\nstuck 0 1 2 ") + begin + "\n"),
+              std::string("fault scenario line 2: stuck begin_ps must be a non-negative "
+                          "integer, got '") + begin + "'");
+  }
+  const FaultConfig config = parse_fault_scenario("stuck 0 1 2 4000  # begins late\n");
+  ASSERT_EQ(config.stuck_dies.size(), 1u);
+  EXPECT_EQ(config.stuck_dies[0].begin, Time{4000});
+}
+
+// Message of the std::invalid_argument FaultConfig::validate throws
+// against `geometry` (empty when the scenario fits the device).
+std::string validation_error(const FaultConfig& config, const SsdGeometry& geometry) {
+  try {
+    config.validate(geometry);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FaultConfigValidate, NamesTheIndexAndTheGeometryLimit) {
+  const SsdGeometry geometry = cnl_ufs_config(NvmType::kTlc).geometry;
+  ASSERT_EQ(geometry.channels, 8u);
+  const std::string limits = std::to_string(geometry.packages_per_channel) +
+                             " packages per channel";
+  EXPECT_EQ(validation_error(parse_fault_scenario("stuck 99 0 0\n"), geometry),
+            "stuck: channel 99 out of range (device has 8 channels)");
+  EXPECT_EQ(validation_error(parse_fault_scenario("stuck 7 99 0\n"), geometry),
+            "stuck: package 99 out of range (device has " + limits + ")");
+  EXPECT_EQ(validation_error(parse_fault_scenario("stuck 7 0 99\n"), geometry),
+            "stuck: die 99 out of range (device has " +
+                std::to_string(geometry.dies_per_package) + " dies per package)");
+  EXPECT_EQ(validation_error(parse_fault_scenario("stall 42 0 1000000\n"), geometry),
+            "stall: channel 42 out of range (device has 8 channels)");
+  // The last valid index on every level passes.
+  FaultConfig edge;
+  edge.stuck_dies.push_back({geometry.channels - 1, geometry.packages_per_channel - 1,
+                             geometry.dies_per_package - 1, Time{}});
+  edge.channel_stalls.push_back({geometry.channels - 1, Time{}, Time{1}});
+  EXPECT_EQ(validation_error(edge, geometry), "");
+}
+
+TEST(FaultConfigValidate, EngineConstructionRejectsAnOutOfRangeScenario) {
+  ExperimentConfig config = cnl_ufs_config(NvmType::kTlc);
+  config.fault = parse_fault_scenario("stuck 99 0 0\n");
+  EXPECT_THROW(ReplayEngine engine(config), std::invalid_argument);
+  config.fault = parse_fault_scenario("stuck 7 0 0\n");
+  EXPECT_NO_THROW(ReplayEngine engine(config));
 }
 
 // ---------- prefetcher retries ------------------------------------------------
